@@ -785,9 +785,24 @@ def measurement_health_report(tuning) -> str:
     return "\n".join(lines)
 
 
+#: Flags that only one command reads, by ``dest``: any other command
+#: rejects them rather than silently ignoring them.
+COMMAND_ONLY_FLAGS = {
+    "faults": "selfcheck",
+    "parallel": "selfcheck",
+    "serve": "selfcheck",
+    "lint_records": "lint",
+}
+
+
 def main(argv=None) -> int:
     """CLI entry point: tune, print, optionally save the schedule."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, command in COMMAND_ONLY_FLAGS.items():
+        if getattr(args, dest) and args.operator != command:
+            parser.error(f"--{dest.replace('_', '-')} applies to "
+                         f"'{command}' only, not '{args.operator}'")
     if args.operator == "lint":
         return lint_command(args)
     if args.operator == "serve":

@@ -1,7 +1,7 @@
 """Baselines: simulated vendor libraries and the AutoTVM comparison."""
 
+from ..learn import GradientBoostedTrees, RegressionTree
 from .autotvm import AutoTVMTuner, autotvm_optimize, build_template_space
-from .gbt import GradientBoostedTrees, RegressionTree
 from .vendor import (
     LibraryResult,
     cublas_time,

@@ -8,11 +8,8 @@ online surrogate screen in front of real measurement
 """
 
 from .gbt import GradientBoostedTrees, RegressionTree
-from .reference import ReferenceGradientBoostedTrees, ReferenceRegressionTree
 
 __all__ = [
     "GradientBoostedTrees",
     "RegressionTree",
-    "ReferenceGradientBoostedTrees",
-    "ReferenceRegressionTree",
 ]

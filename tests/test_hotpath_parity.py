@@ -4,7 +4,7 @@ Every fast path introduced by the per-point hot-path work must be
 *bit-identical* to the scalar code it replaces:
 
 * the array-compiled GBT (``repro.learn.gbt``) against the retained
-  scalar implementation in ``repro.learn.reference``;
+  scalar implementation in ``tests/gbt_reference.py``;
 * ``batch_point_features`` against per-point ``point_features``;
 * memoized structural lowering against fresh lowering (index maps,
   loops, primitives, and the numerics of interpretation and codegen);
@@ -39,12 +39,13 @@ from repro.explore import (
     SurrogateScreen,
 )
 from repro.learn import GradientBoostedTrees
-from repro.learn.reference import ReferenceGradientBoostedTrees
 from repro.model import V100
 from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import Evaluator
 from repro.schedule import lower
 from repro.space import build_space
+
+from .gbt_reference import ReferenceGradientBoostedTrees
 
 GBT_KWARGS = dict(num_rounds=8, max_depth=3, learning_rate=0.3)
 
@@ -128,6 +129,93 @@ WORKLOADS = {
     "gemm": lambda: gemm_compute(16, 16, 16, name="g"),
     "conv2d": lambda: conv2d_compute(1, 8, 8, 8, 8, 3, padding=1, name="c"),
 }
+
+
+def redundant_columns_matrix(seed):
+    """Columns the default fit skips or scores once: constants, exact
+    duplicates, and ``log1p`` duplicates (same partitions, different
+    thresholds)."""
+    rng = np.random.default_rng(seed)
+    base = rng.exponential(size=(90, 6))
+    x = np.column_stack([
+        base, np.full(90, 3.0), base[:, 0], np.zeros(90), np.log1p(base[:, 1]),
+        base[:, 2], np.full(90, -1.5), np.log1p(base[:, 3]),
+    ])
+    y = np.sin(base[:, 0] * 2) + base[:, 1] * base[:, 2] + rng.normal(scale=0.1, size=90)
+    return x, y
+
+
+def coarse_ties_matrix(seed):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(90, 12)))
+    x[:, 5] = 0.0
+    return x, np.round(rng.normal(size=90) * 2) / 2
+
+
+def mirrored_partitions_matrix(seed):
+    """A palindromic target over an ordered column: mirrored thresholds
+    give mathematically equal SSEs that round apart, so the shortlist
+    band holds several distinct partitions of one column."""
+    rng = np.random.default_rng(seed)
+    half = np.round(rng.normal(size=11), 1)
+    return np.arange(22.0)[:, None], np.concatenate([half, half[::-1]])
+
+
+def surrogate_rows_matrix(workload):
+    """What the surrogate fits on: ``batch_point_features`` rows of real
+    space points against log1p of their V100 GFLOPS."""
+    ev = Evaluator(WORKLOADS[workload](), V100)
+    rng = np.random.default_rng(4)
+    points = [ev.space.random_point(rng) for _ in range(90)]
+    x = batch_point_features(ev.space, points)
+    return x, np.log1p([ev.evaluate(p) for p in points])
+
+
+def retained_arrays(model):
+    """Every array reachable from the fitted model's attributes."""
+    for obj in [model, *model._trees]:
+        for value in vars(obj).values():
+            if hasattr(value, "__dataclass_fields__"):
+                yield from vars(value).values()
+            elif isinstance(value, (tuple, list)):
+                yield from value
+            else:
+                yield value
+
+
+class TestDefaultShapeGBTParity:
+    """The surrogate's real configuration (30 rounds, depth 3) on the
+    inputs where the fit skips work: constant columns, duplicate
+    partitions, ties, and real feature matrices."""
+
+    CASES = {
+        "redundant_columns": lambda: redundant_columns_matrix(1),
+        "coarse_ties": lambda: coarse_ties_matrix(2),
+        "mirrored_partitions": lambda: mirrored_partitions_matrix(12),
+        "gemm_features": lambda: surrogate_rows_matrix("gemm"),
+        "conv2d_features": lambda: surrogate_rows_matrix("conv2d"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case):
+        x, y = self.CASES[case]()
+        fast = GradientBoostedTrees().fit(x, y)
+        slow = ReferenceGradientBoostedTrees().fit(x, y)
+        assert len(fast._trees) > 1
+        assert states_equal(fast.get_state(), slow.get_state())
+        assert np.array_equal(fast.predict(x), slow.predict(x))
+        queries = np.random.default_rng(0).permuted(x, axis=0)
+        assert np.array_equal(fast.predict(queries), slow.predict(queries))
+
+    def test_no_fit_cache_retained(self):
+        # Live-column copies, sorted orders and per-node split stats are
+        # per-fit working data: none may outlive ``fit``.
+        x, y = surrogate_rows_matrix("conv2d")
+        model = GradientBoostedTrees().fit(x, y)
+        for value in retained_arrays(model):
+            assert not isinstance(value, dict)
+            if isinstance(value, np.ndarray):
+                assert value.ndim == 1 and len(value) != len(x)
 
 
 class TestBatchFeatureParity:

@@ -127,6 +127,22 @@ class TestCli:
         config, _, metadata = load_schedule(path)
         assert metadata["operator"] == "conv2d"
 
+    @pytest.mark.parametrize("argv", [
+        ["gemm", "--faults"],
+        ["conv2d", "--parallel"],
+        ["lint", "--serve"],
+        ["tune-network", "--faults"],
+        ["selfcheck", "--lint-records"],
+        ["gemm", "--lint-records"],
+    ])
+    def test_ignored_flag_exits_nonzero(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[1]} applies to" in capsys.readouterr().err
+
     def test_bad_device_rejected(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro", "gemm", "--device", "TPU"],

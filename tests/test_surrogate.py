@@ -84,11 +84,6 @@ class TestGBTState:
         clone.set_state(json.loads(json.dumps(model.get_state())))
         assert not clone.is_fitted
 
-    def test_baselines_shim_reexports(self):
-        from repro.baselines.gbt import GradientBoostedTrees as Shimmed
-
-        assert Shimmed is GradientBoostedTrees
-
 
 class TestPointFeatures:
     def test_deterministic_fixed_length_finite(self):
