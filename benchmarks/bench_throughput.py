@@ -25,10 +25,6 @@ the acceptance booleans:
 * the warm second run is served at >= 50% cache hit rate,
 * with screening on, gemm and conv2d reach >= the screening-off best
   GFLOPS using <= 0.5x the real measurements,
-* (ISSUE #5) a chaos run through the supervised cluster — seeded node
-  faults killing 3 of 4 workers mid-run — finds the same best schedule
-  as the fault-free clustered run, and on a slow-node fleet speculative
-  re-execution recovers simulated makespan versus speculation off, and
 * (ISSUE #7) the vectorized hot path sustains >= 10x the pre-vectorization
   ``points_per_wall_second`` with screening on and >= 2x with screening
   off (baselines pinned in ``PRIOR_WALL`` below), and
@@ -65,7 +61,6 @@ from repro.analysis import tensorize_rejections           # noqa: E402
 from repro.model import V100, XEON_E5_2699V4              # noqa: E402
 from repro.ops import conv2d_compute, gemm_compute, gemm_int8_compute  # noqa: E402
 from repro.optimize import optimize                       # noqa: E402
-from repro.runtime import ClusterConfig, NodeFaultInjector  # noqa: E402
 from repro.space import build_space                       # noqa: E402
 
 TRIALS = 8
@@ -108,8 +103,7 @@ WORKLOADS = {
 
 
 def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
-             surrogate=False, screen_ratio=0.25,
-             cluster=False, node_faults=None):
+             surrogate=False, screen_ratio=0.25):
     start = time.perf_counter()
     result = optimize(
         make_output(),
@@ -121,8 +115,6 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
         cache_dir=cache_dir,
         surrogate=surrogate,
         screen_ratio=screen_ratio,
-        cluster=cluster,
-        node_faults=node_faults,
     )
     wall = time.perf_counter() - start
     stats = dict(result.tuning.throughput)
@@ -130,11 +122,6 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
     stats["best_gflops"] = result.gflops
     stats["best_performance"] = result.tuning.best_performance
     stats["real_measurements"] = result.tuning.num_measurements
-    stats["best_point"] = (
-        list(result.tuning.best_point) if result.tuning.best_point else None
-    )
-    if result.tuning.cluster is not None:
-        stats["cluster"] = result.tuning.cluster
     return stats
 
 
@@ -146,7 +133,7 @@ def trimmed(stats):
         "simulated_seconds", "points_per_simulated_second",
         "points_per_wall_second", "pool_utilization", "cache_hit_rate",
         "total_wall_seconds", "best_gflops", "real_measurements",
-        "surrogate", "cluster", "lowering", "profile",
+        "surrogate", "lowering", "profile",
     )
     return {k: stats[k] for k in keys if k in stats}
 
@@ -283,80 +270,6 @@ def main(quick: bool = False) -> int:
                 )
             )
 
-    # Cluster supervision chaos section (ISSUE #5): (a) seeded node
-    # faults killing 3 of 4 workers mid-run must not change the best
-    # schedule found (supervision perturbs timing/billing only), and
-    # (b) on a slow-node fleet speculative re-execution should recover
-    # simulated makespan versus the same chaos with speculation off.
-    chaos_parity = spec_recovery = None
-    if not quick:
-        print("== cluster chaos (gemm) ==")
-        gemm = WORKLOADS["gemm_64x64x64"]
-        clean = run_tune(gemm, workers=POOL_WORKERS, cluster=True)
-        doomed = run_tune(
-            gemm, workers=POOL_WORKERS,
-            cluster=True,
-            node_faults=NodeFaultInjector(seed=SEED, dead_after={1: 3, 2: 3, 3: 3}),
-        )
-        chaos_parity = (
-            doomed["best_performance"] == clean["best_performance"]
-            and doomed["best_point"] == clean["best_point"]
-            and doomed["real_measurements"] == clean["real_measurements"]
-        )
-        print(
-            f"  clean : {clean['best_gflops']:6.1f} GFLOPS, "
-            f"{clean['simulated_seconds']:.1f} sim-s "
-            f"({clean['cluster']['alive']}/{POOL_WORKERS} workers alive)"
-        )
-        print(
-            f"  chaos : {doomed['best_gflops']:6.1f} GFLOPS, "
-            f"{doomed['simulated_seconds']:.1f} sim-s "
-            f"({doomed['cluster']['alive']}/{POOL_WORKERS} workers alive, "
-            f"{doomed['cluster']['num_reassigned']} leases reassigned)"
-        )
-        print(f"  best-schedule parity under chaos: {chaos_parity}")
-
-        # 6x-slow nodes against the default 4x lease deadline: without
-        # speculation a straggler burns its whole lease before expiry
-        # reassigns it; with a p75 straggler threshold a speculative copy
-        # launches much earlier and its result wins.
-        slow_faults = lambda: NodeFaultInjector(  # noqa: E731
-            slow_rate=0.3, slow_factor=6.0, seed=SEED
-        )
-        spec_on = run_tune(
-            gemm, workers=POOL_WORKERS,
-            cluster=ClusterConfig(workers=POOL_WORKERS, straggler_pct=75.0),
-            node_faults=slow_faults(),
-        )
-        spec_off = run_tune(
-            gemm, workers=POOL_WORKERS,
-            cluster=ClusterConfig(
-                workers=POOL_WORKERS, straggler_pct=75.0, speculate=False
-            ),
-            node_faults=slow_faults(),
-        )
-        spec_recovery = (
-            spec_off["simulated_seconds"] / spec_on["simulated_seconds"]
-            if spec_on["simulated_seconds"] else 0.0
-        )
-        print(
-            f"  slow fleet, speculation on : {spec_on['simulated_seconds']:.1f} sim-s "
-            f"({spec_on['cluster']['num_speculative']} speculative, "
-            f"{spec_on['cluster']['num_speculative_wins']} won)"
-        )
-        print(
-            f"  slow fleet, speculation off: {spec_off['simulated_seconds']:.1f} sim-s"
-        )
-        print(f"  speculation makespan recovery: {spec_recovery:.2f}x")
-        payload["cluster_chaos"] = {
-            "clean": trimmed(clean),
-            "doomed": trimmed(doomed),
-            "chaos_parity": chaos_parity,
-            "speculation_on": trimmed(spec_on),
-            "speculation_off": trimmed(spec_off),
-            "speculation_makespan_recovery": spec_recovery,
-        }
-
     # Intrinsic tensorization (ISSUE #8): same trials and seed on the
     # int8 GEMM, tensorize knob on vs off.  The knob-on search must end
     # on a tensorized schedule with strictly higher modeled GFLOPS.
@@ -439,9 +352,6 @@ def main(quick: bool = False) -> int:
             "gemm_pooled_speedup_ge_3x": gemm_speedup >= 3.0,
             "warm_hit_rate": warm["cache_hit_rate"],
             "warm_hit_rate_ge_50pct": warm["cache_hit_rate"] >= 0.5,
-            "cluster_chaos_best_schedule_parity": chaos_parity,
-            "cluster_speculation_makespan_recovery": spec_recovery,
-            "cluster_speculation_recovers_makespan": spec_recovery > 1.0,
             "tensorize_best_gflops": tensorize_on.gflops,
             "tensorize_chosen_intrinsic": chosen_intrinsic,
             "tensorize_best_beats_knob_off": tensorize_ok,

@@ -10,7 +10,6 @@ Examples::
     python -m repro gemm --workers 4 --cache-dir ~/.repro-cache
     python -m repro gemm --lint --prune-space
     python -m repro gemm --surrogate --screen-ratio 0.15
-    python -m repro gemm --workers 4 --cluster --straggler-pct 90
     python -m repro lint --device V100 --sample 400
     python -m repro lint --target cpu --sample 200
     python -m repro gemm --tensorize --device XeonE5-2699v4
@@ -19,7 +18,6 @@ Examples::
     python -m repro selfcheck --parallel
     python -m repro selfcheck --lint
     python -m repro selfcheck --surrogate
-    python -m repro selfcheck --cluster
     python -m repro submit --store /tmp/svc --tenant alice --op gemm --n 256
     python -m repro serve --store /tmp/svc
     python -m repro status --store /tmp/svc
@@ -96,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--screen-ratio", type=float, default=0.25,
                         help="fraction of each ranked candidate batch "
                              "forwarded to real measurement with --surrogate")
-    parser.add_argument("--cluster", action="store_true",
-                        help="tune: supervise the measurement workers "
-                             "(heartbeats, leases, speculative re-execution, "
-                             "health circuit breakers); selfcheck: run the "
-                             "chaos-determinism smoke against seeded node "
-                             "faults")
-    parser.add_argument("--straggler-pct", type=float, default=None,
-                        help="percentile of recent lease durations beyond "
-                             "which a running lease is speculatively "
-                             "re-executed (with --cluster; default 95)")
     parser.add_argument("--serve", action="store_true",
                         help="selfcheck only: run the tuning-service "
                              "crash-recovery parity smoke (submit jobs from "
@@ -144,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--uniform", action="store_true",
                         help="tune-network: flat identical per-layer budgets "
                              "instead of the gain-driven task scheduler")
-    parser.add_argument("--sample", type=int, default=400,
+    parser.add_argument("--sample", type=int, default=None,
                         help="lint only: random points sampled per schedule "
-                             "space")
+                             "space (default 400)")
     parser.add_argument("--target", default=None,
                         choices=["gpu", "cpu", "fpga"],
                         help="lint only: lint for this device family "
@@ -223,12 +211,13 @@ def lint_command(args) -> int:
         workloads.append(
             ("gemm-int8", gemm_int8_compute(args.n, args.k, args.m), True)
         )
+    sample_size = 400 if args.sample is None else args.sample
     rng = np.random.default_rng(args.seed)
     total_illegal = 0
     for name, output, tensorize in workloads:
         space = build_space(output, target, tensorize=tensorize)
         linter = ScheduleLinter(space.op, target, device)
-        sample = min(args.sample, space.size)
+        sample = min(sample_size, space.size)
         counts: dict = {}
         illegal = warned = 0
         for _ in range(sample):
@@ -440,73 +429,6 @@ def surrogate_smoke(args) -> int:
     print(f"  correlation: {correlation:.3f} (Spearman, held-out slice)")
     print("surrogate selfcheck " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
-
-
-def cluster_smoke(args) -> int:
-    """``selfcheck --cluster``: chaos-determinism smoke of the supervised
-    measurement cluster.
-
-    1. Every tuner must complete a short run through a 4-worker
-       supervised cluster under seeded node faults (crashes, stale
-       heartbeats, slow nodes, flaky nodes).
-    2. A chaos run that fatally kills all but one worker mid-run must
-       report the same best schedule as the fault-free clustered run at
-       equal trial count — node faults may change timing and health,
-       never results (the cluster determinism contract).
-    """
-    from .runtime import ClusterConfig, NodeFaultInjector
-
-    output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke")
-    device = DEVICES[args.device]
-    trials = min(args.trials, 5)
-    workers = 4
-    config = ClusterConfig(workers=workers)
-    chaos = NodeFaultInjector(
-        crash_rate=0.05, stale_rate=0.05, slow_rate=0.1, flaky_rate=0.1,
-        seed=args.seed,
-    )
-    failures = 0
-    for method in ("q", "p", "random-walk", "random-sample"):
-        result = optimize(
-            output, device, trials=trials, method=method, seed=args.seed,
-            workers=workers, cluster=config, node_faults=chaos,
-            straggler_pct=args.straggler_pct,
-        )
-        c = result.tuning.cluster
-        verdict = "ok" if result.found else "FAILED"
-        if not result.found:
-            failures += 1
-        print(f"{method:>13}: {verdict}  best={result.gflops:8.1f} GFLOPS  "
-              f"[leases={c['num_leases']} reassigned={c['num_reassigned']} "
-              f"speculative={c['num_speculative']} trips={c['num_breaker_trips']}]")
-
-    # Chaos parity: fault-free cluster vs. a cluster whose workers 1-3
-    # are fatally killed a few leases in — identical best schedule.
-    clean = optimize(
-        output, device, trials=trials, method="q", seed=args.seed,
-        workers=workers, cluster=ClusterConfig(workers=workers),
-    )
-    doomed = optimize(
-        output, device, trials=trials, method="q", seed=args.seed,
-        workers=workers, cluster=ClusterConfig(workers=workers),
-        node_faults=NodeFaultInjector(
-            seed=args.seed, dead_after={1: 3, 2: 3, 3: 3},
-        ),
-    )
-    parity = (
-        doomed.tuning.best_point == clean.tuning.best_point
-        and doomed.tuning.best_performance == clean.tuning.best_performance
-        and doomed.tuning.num_measurements == clean.tuning.num_measurements
-    )
-    alive = doomed.tuning.cluster["alive"]
-    print(f"{'chaos parity':>13}: {'ok' if parity else 'FAILED'}  "
-          f"({alive}/{workers} workers survived; best "
-          f"{doomed.gflops:.1f} vs {clean.gflops:.1f} GFLOPS)")
-    if not parity:
-        failures += 1
-    print("cluster selfcheck "
-          + ("passed" if failures == 0 else f"FAILED ({failures})"))
-    return 1 if failures else 0
 
 
 def _serve_params(args) -> dict:
@@ -760,11 +682,10 @@ def selfcheck(args) -> int:
 
 def measurement_health_report(tuning) -> str:
     """One-block summary of where measurement budget went *besides* clean
-    measurements: retries, quarantine, static lint rejects, surrogate
-    screening, and — when a cluster supervisor ran — worker breaker
-    trips and lease reassignments.  Printed after every tune so pipeline
-    health is visible without digging through ``TuneResult``."""
-    lines = [
+    measurements: retries, quarantine, static lint rejects and surrogate
+    screening.  Printed after every tune so pipeline health is visible
+    without digging through ``TuneResult``."""
+    return "\n".join([
         "measurement health:",
         f"  retries={tuning.num_retries}  "
         f"quarantined={tuning.num_quarantined}  "
@@ -772,17 +693,7 @@ def measurement_health_report(tuning) -> str:
         f"failed={tuning.num_failures}",
         f"  lint_rejects={tuning.lint_rejects}  "
         f"screened={tuning.num_screened}",
-    ]
-    if tuning.cluster is not None:
-        c = tuning.cluster
-        lines.append(
-            f"  breaker_trips={c['num_breaker_trips']}  "
-            f"reassigned={c['num_reassigned']}  "
-            f"speculative={c['num_speculative']} "
-            f"(won {c['num_speculative_wins']})  "
-            f"degraded_batches={c['num_degraded_batches']}"
-        )
-    return "\n".join(lines)
+    ])
 
 
 #: Flags that only one command reads, by ``dest``: any other command
@@ -792,6 +703,12 @@ COMMAND_ONLY_FLAGS = {
     "parallel": "selfcheck",
     "serve": "selfcheck",
     "lint_records": "lint",
+    "sample": "lint",
+    "target": "lint",
+    "enqueue": "lookup",
+    "uniform": "tune-network",
+    "max_slices": "serve",
+    "ttl": "submit",
 }
 
 
@@ -800,7 +717,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for dest, command in COMMAND_ONLY_FLAGS.items():
-        if getattr(args, dest) and args.operator != command:
+        value = getattr(args, dest)
+        if value is not None and value is not False and args.operator != command:
             parser.error(f"--{dest.replace('_', '-')} applies to "
                          f"'{command}' only, not '{args.operator}'")
     if args.operator == "lint":
@@ -822,8 +740,6 @@ def main(argv=None) -> int:
             return tensorize_smoke(args)
         if args.surrogate:
             return surrogate_smoke(args)
-        if args.cluster:
-            return cluster_smoke(args)
         if args.serve:
             return serve_smoke(args)
         return selfcheck(args)
@@ -835,7 +751,6 @@ def main(argv=None) -> int:
         workers=args.workers, cache_dir=args.cache_dir,
         lint=args.lint, prune_space=args.prune_space,
         surrogate=args.surrogate, screen_ratio=args.screen_ratio,
-        cluster=args.cluster, straggler_pct=args.straggler_pct,
         tensorize=args.tensorize,
     )
     print(result.summary())

@@ -53,7 +53,6 @@ class TuneResult:
     num_retries: int = 0                # measurement attempts beyond the first
     quarantine_hits: int = 0            # free lookups answered by quarantine
     num_quarantined: int = 0            # points in quarantine at the end
-    cluster: Optional[Dict] = None      # ClusterSupervisor.stats() when one ran
     lowering: Optional[Dict] = None     # LoweringMemo.stats() when memoizing
     profile: Optional[Dict] = None      # HotPathProfiler.stats() (wall seconds)
 
@@ -107,17 +106,8 @@ class BaseTuner:
 
     @property
     def parallel(self) -> bool:
-        """Whether trials should submit whole candidate batches.
-
-        A supervised cluster whose workers are all quarantined (every
-        breaker open, or every node dead) degrades the trial shape
-        itself: the tuner proposes serially, exactly like ``workers=1``,
-        so a fully-quarantined run stays bit-identical to a serial run.
-        Workers re-admitted after cool-down restore the batched shape.
-        """
-        if self.engine is None or self.engine.workers <= 1:
-            return False
-        return not self.engine.cluster_degraded()
+        """Whether trials should submit whole candidate batches."""
+        return self.engine is not None and self.engine.workers > 1
 
     # -- helpers -----------------------------------------------------------
 
@@ -223,10 +213,6 @@ class BaseTuner:
                 # they cover the whole run even across a resume.
                 result.surrogate = self.engine.surrogate.stats()
                 result.num_screened = self.engine.surrogate.num_screened
-            if self.engine.cluster is not None:
-                # Supervisor counters are checkpointed state too, so they
-                # cover the whole run even across a resume.
-                result.cluster = self.engine.cluster.stats()
         return result
 
     def _run_trial(self, trial: int) -> None:
@@ -270,11 +256,6 @@ class BaseTuner:
             # counters checkpoint alongside the Q-network so a resumed
             # run makes bit-identical screening decisions.
             state["surrogate"] = self.engine.surrogate.get_state()
-        if self.engine is not None and self.engine.cluster is not None:
-            # The cluster supervisor's registry, breakers, health EWMAs,
-            # lease history and RNG checkpoint too, so a resumed run
-            # replays identical supervision decisions (docs/cluster.md).
-            state["cluster"] = self.engine.cluster.get_state()
         return state
 
     def set_state(self, state: Dict) -> None:
@@ -289,12 +270,6 @@ class BaseTuner:
             and "surrogate" in state
         ):
             self.engine.surrogate.set_state(state["surrogate"])
-        if (
-            self.engine is not None
-            and self.engine.cluster is not None
-            and "cluster" in state
-        ):
-            self.engine.cluster.set_state(state["cluster"])
 
 
 class FlexTensorTuner(BaseTuner):

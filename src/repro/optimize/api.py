@@ -9,7 +9,7 @@ code, and the exploration statistics the benchmarks report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import AnalysisResult, ScheduleLinter, analyze
@@ -26,13 +26,10 @@ from ..graph import MiniGraph, get_graph
 from ..model import model_for, target_of
 from ..runtime import (
     BatchEngine,
-    ClusterConfig,
-    ClusterSupervisor,
     EvalCache,
     Evaluator,
     FaultInjector,
     MeasureConfig,
-    NodeFaultInjector,
 )
 from ..schedule import GraphConfig, NodeConfig, Scheduled, lower
 from ..space import ScheduleSpace, build_space
@@ -107,14 +104,6 @@ class OptimizeResult:
                 if status not in ("ok", "flaky_retried", "illegal")
             )
             lines.append(f"failed measurements: {self.tuning.num_failures} ({counts})")
-        if self.tuning.cluster is not None:
-            c = self.tuning.cluster
-            lines.append(
-                f"cluster: {c['alive']}/{c['workers']} workers alive, "
-                f"{c['num_leases']} leases ({c['num_reassigned']} reassigned, "
-                f"{c['num_speculative']} speculative), "
-                f"{c['num_breaker_trips']} breaker trips"
-            )
         if self.schedule is not None:
             lines.append("primitives: " + "; ".join(self.schedule.primitives))
         return "\n".join(lines)
@@ -164,29 +153,6 @@ def _schedule_for_graph(
     return GraphConfig(inline=decisions)
 
 
-def _build_supervisor(
-    cluster, workers: int, node_faults, straggler_pct, seed: int
-) -> Optional[ClusterSupervisor]:
-    """Normalize the ``optimize(cluster=)`` argument into a supervisor.
-
-    Accepts False/None (off), True (supervise ``workers`` nodes), a
-    :class:`ClusterConfig`, or a pre-built :class:`ClusterSupervisor`
-    (returned as-is; ``node_faults``/``straggler_pct`` must then be
-    configured on it directly).
-    """
-    if not cluster:
-        return None
-    if isinstance(cluster, ClusterSupervisor):
-        return cluster
-    if isinstance(cluster, ClusterConfig):
-        config = cluster
-    else:
-        config = ClusterConfig(workers=max(1, int(workers)))
-    if straggler_pct is not None:
-        config = replace(config, straggler_pct=float(straggler_pct))
-    return ClusterSupervisor(config, node_faults=node_faults, seed=seed)
-
-
 def optimize(
     output,
     device_spec,
@@ -211,9 +177,6 @@ def optimize(
     prune_space: bool = False,
     surrogate: bool = False,
     screen_ratio: float = 0.25,
-    cluster=False,
-    node_faults: Optional[NodeFaultInjector] = None,
-    straggler_pct: Optional[float] = None,
     tensorize: bool = False,
 ) -> OptimizeResult:
     """Optimize one tensor computation for one device (Algorithm 1).
@@ -272,24 +235,6 @@ def optimize(
             trajectories stay bit-identical — ``docs/surrogate.md``.
         screen_ratio: fraction of each ranked batch forwarded to real
             measurement when ``surrogate`` is on.
-        cluster: supervise the measurement workers
-            (``repro.runtime.cluster``): heartbeats, lease-based
-            assignment with deadlines, speculative re-execution of
-            stragglers, and a per-worker health circuit breaker that
-            degrades to the bit-identical serial path when every worker
-            is quarantined.  ``True`` builds a supervisor over
-            ``workers`` nodes; pass a :class:`ClusterConfig` or a
-            pre-built :class:`ClusterSupervisor` for full control.  Off
-            by default — ``docs/cluster.md``.
-        node_faults: a :class:`~repro.runtime.NodeFaultInjector` imposing
-            seeded node-level faults (worker crash, stale heartbeat,
-            slow node, flaky node) on the supervised cluster.  Node
-            faults perturb scheduling and billing only, never
-            measurement outcomes, so a chaos run finds the same best
-            schedule as a fault-free run at equal trial count.
-        straggler_pct: percentile of recent lease durations beyond which
-            a running lease is speculatively re-executed (default from
-            :class:`ClusterConfig`; only meaningful with ``cluster``).
         tensorize: add the ``tensorize`` knob to the space when any
             registered intrinsic (``repro.analysis.INTRINSICS``)
             statically matches the computation's innermost loops — the
@@ -334,13 +279,7 @@ def optimize(
         if surrogate
         else None
     )
-    supervisor = _build_supervisor(
-        cluster, workers=workers, node_faults=node_faults,
-        straggler_pct=straggler_pct, seed=seed,
-    )
-    engine = BatchEngine(
-        evaluator, workers=workers, surrogate=screen, cluster=supervisor
-    )
+    engine = BatchEngine(evaluator, workers=workers, surrogate=screen)
     tuner = tuner_cls(
         evaluator,
         gamma=gamma,

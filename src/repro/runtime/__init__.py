@@ -1,24 +1,14 @@
 """Measurement harness, simulated exploration clock, fault injection,
-checkpointing, batched parallel evaluation, cluster supervision, and
-tuning records."""
+checkpointing, batched parallel evaluation, and tuning records."""
 
 from .cache import EVALCACHE_VERSION, EvalCache
 from .checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from .cluster import (
-    BatchPlan,
-    BreakerState,
-    ClusterConfig,
-    ClusterSupervisor,
-    WorkerState,
-)
 from .fault import (
     Fault,
     FaultInjector,
     InjectedCompileError,
     InjectedHang,
     InjectedRuntimeError,
-    NodeFault,
-    NodeFaultInjector,
 )
 from .measure import (
     Evaluator,
@@ -34,11 +24,7 @@ from .records import RecordBook, TuningRecord, parse_workload_key, workload_key
 
 __all__ = [
     "BatchEngine",
-    "BatchPlan",
-    "BreakerState",
     "CHECKPOINT_VERSION",
-    "ClusterConfig",
-    "ClusterSupervisor",
     "EVALCACHE_VERSION",
     "EvalCache",
     "Evaluator",
@@ -52,11 +38,8 @@ __all__ = [
     "MeasureRecord",
     "MeasureResult",
     "MeasureStatus",
-    "NodeFault",
-    "NodeFaultInjector",
     "RecordBook",
     "TuningRecord",
-    "WorkerState",
     "load_checkpoint",
     "op_signature_of",
     "parse_workload_key",

@@ -19,8 +19,8 @@ makes checkpoint/resume reproduce an uninterrupted run bit-for-bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -120,110 +120,3 @@ class FaultInjector:
         evaluator.fault_injector = self
         return self
 
-
-class NodeFault(enum.Enum):
-    """Outcome of one injected node-level roll for a measurement lease.
-
-    Unlike the per-measurement :class:`Fault` taxonomy above, node
-    faults model the *machine* failing, not the candidate: they never
-    change what a measurement would have returned, only whether (and
-    when) its result reaches the supervisor.  That split is what keeps
-    chaos runs result-identical to fault-free runs — see
-    :mod:`repro.runtime.cluster`.
-    """
-
-    NONE = "none"
-    CRASH = "crash"        # worker process dies mid-lease; work lost
-    STALE = "stale"        # heartbeats stop; worker presumed lost
-    SLOW = "slow"          # straggler: the lease runs slow_factor x
-    FLAKY = "flaky"        # lease completes but the result is corrupt/dropped
-
-
-#: Salt folded into the node-fault RNG key so node rolls never collide
-#: with per-measurement rolls of the same seed.
-_NODE_SALT = 0x9E3779B9
-
-
-@dataclass
-class NodeFaultInjector:
-    """Seeded node-level fault source for a :class:`~repro.runtime.cluster.ClusterSupervisor`.
-
-    Rates are independent probabilities per *lease*, checked in order
-    crash → stale → slow → flaky against one uniform draw (their sum
-    must stay <= 1).  Every decision is a pure function of ``(seed,
-    worker, lease serial)`` — the lease serial is per-worker state the
-    supervisor checkpoints, so a resumed run replays exactly the node
-    faults an uninterrupted run would have seen.
-
-    ``dead_after`` scripts permanent kills for chaos tests: mapping
-    ``worker -> serial`` makes that worker crash fatally (no restart) on
-    every lease from that serial on.
-    """
-
-    crash_rate: float = 0.0
-    stale_rate: float = 0.0
-    slow_rate: float = 0.0
-    flaky_rate: float = 0.0
-    slow_factor: float = 4.0
-    seed: int = 0
-    dead_after: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        total = self.crash_rate + self.stale_rate + self.slow_rate + self.flaky_rate
-        if total > 1.0:
-            raise ValueError(f"node fault rates sum to {total} > 1")
-        for name in ("crash_rate", "stale_rate", "slow_rate", "flaky_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1")
-
-    # -- deterministic rolls ----------------------------------------------
-
-    def _rng(self, worker: int, serial: int) -> np.random.Generator:
-        """A generator keyed purely on (seed, worker, lease serial)."""
-        key = (
-            self.seed & 0xFFFFFFFF,
-            _NODE_SALT,
-            int(worker) & 0xFFFFFFFF,
-            int(serial) & 0xFFFFFFFF,
-        )
-        return np.random.default_rng(key)
-
-    def is_fatal(self, worker: int, serial: int) -> bool:
-        """Whether this lease is a scripted permanent kill of the worker."""
-        threshold = self.dead_after.get(worker)
-        return threshold is not None and serial >= threshold
-
-    def decide(self, worker: int, serial: int) -> NodeFault:
-        """The node fault (or NONE) injected into this lease."""
-        if self.is_fatal(worker, serial):
-            return NodeFault.CRASH
-        roll = float(self._rng(worker, serial).random())
-        if roll < self.crash_rate:
-            return NodeFault.CRASH
-        roll -= self.crash_rate
-        if roll < self.stale_rate:
-            return NodeFault.STALE
-        roll -= self.stale_rate
-        if roll < self.slow_rate:
-            return NodeFault.SLOW
-        roll -= self.slow_rate
-        if roll < self.flaky_rate:
-            return NodeFault.FLAKY
-        return NodeFault.NONE
-
-    def crash_fraction(self, worker: int, serial: int) -> float:
-        """How far through its lease a crashing worker gets, in (0.1, 0.9)."""
-        rng = self._rng(worker, serial)
-        rng.random()  # burn the fault draw so the fraction is independent
-        return 0.1 + 0.8 * float(rng.random())
-
-    def describe(self) -> str:
-        """Compact identity string for reports and state snapshots."""
-        dead = sorted(self.dead_after.items())
-        return (
-            f"{type(self).__name__}(c={self.crash_rate},s={self.stale_rate},"
-            f"sl={self.slow_rate}x{self.slow_factor},f={self.flaky_rate},"
-            f"seed={self.seed},dead={dead})"
-        )

@@ -18,10 +18,10 @@ Two execution modes share one billing model:
   parent billing half (:meth:`Evaluator.apply_remote`).  Real execution
   uses a ``multiprocessing`` fork pool when the host has more than one
   core; otherwise outcomes are computed in-process.  Either way the
-  *simulated* clock advances by the batch makespan: job costs are
-  assigned to the least-loaded of W virtual workers in submission order
-  (LPT-style list scheduling), so W workers genuinely overlap simulated
-  measurement time — the quantity Figures 6d/7 account in.
+  *simulated* clock advances by the batch makespan: in submission order,
+  each job's cost goes to the least-loaded of W virtual workers (greedy
+  list scheduling), so W workers genuinely overlap simulated measurement
+  time — the quantity Figures 6d/7 account in.
 
 Determinism contract: for a fixed evaluator configuration and submission
 order, results, records, clock values and caches are identical whether
@@ -40,7 +40,6 @@ from .measure import Evaluator
 
 if TYPE_CHECKING:
     from ..explore.surrogate import SurrogateScreen
-    from .cluster import ClusterSupervisor
 
 #: Fork-inherited evaluator used by pool workers (set by the initializer).
 _WORKER_EVALUATOR: Optional[Evaluator] = None
@@ -72,14 +71,8 @@ class BatchEngine:
         workers: int = 1,
         use_pool: Optional[bool] = None,
         surrogate: Optional["SurrogateScreen"] = None,
-        cluster: Optional["ClusterSupervisor"] = None,
     ):
         self.evaluator = evaluator
-        if cluster is not None:
-            # The supervisor's registry is the source of truth for the
-            # worker count — a mismatched ``workers`` would bill a
-            # different cluster than the one being supervised.
-            workers = cluster.config.workers
         self.workers = max(1, int(workers))
         if use_pool is None:
             use_pool = (
@@ -96,11 +89,6 @@ class BatchEngine:
         self.surrogate = surrogate
         if surrogate is not None and getattr(surrogate, "profiler", None) is None:
             surrogate.profiler = evaluator.profiler
-        # Cluster supervisor (repro.runtime.cluster): when attached,
-        # simulated-clock billing runs through its lease/heartbeat/
-        # speculation scheduler instead of plain LPT, and an all-open
-        # breaker registry degrades the batch to the serial path.
-        self.cluster = cluster
         self._pool = None
         self.num_batches = 0
         self.num_submitted = 0
@@ -151,26 +139,11 @@ class BatchEngine:
                 return self._evaluate_screened(points)
             if self.workers == 1:
                 return self._evaluate_serial(points)
-            if self.cluster_degraded():
-                self.cluster.mark_degraded()
-                return self._evaluate_serial(points)
             return self._evaluate_parallel(points)
         finally:
             self.wall_seconds += time.perf_counter() - started
             self.num_batches += 1
             self.num_submitted += len(points)
-
-    def cluster_degraded(self) -> bool:
-        """Whether the supervisor has no admittable worker left: every
-        breaker open (or every node dead), so evaluation must take the
-        bit-identical serial path instead of the cluster.  The tuners
-        also consult this to degrade their trial *shape* to serial.
-        (Side-effect-free except for cool-down re-admission inside
-        ``any_available``, which is deterministic on the simulated
-        clock.)"""
-        if self.cluster is None or not self.workers > 1:
-            return False
-        return not self.cluster.any_available(self.evaluator.clock)
 
     def _evaluate_serial(self, points: Sequence[Point]) -> List[float]:
         """Bit-reproducible fallback: the exact serial evaluation loop.
@@ -236,18 +209,8 @@ class BatchEngine:
         forward_points = [candidates[position][1] for position in decision.forward]
         records_before = len(ev.records)
         if forward_points:
-            degraded = self.workers > 1 and self.cluster_degraded()
-            if degraded:
-                self.cluster.mark_degraded()
-            if self.workers == 1 or degraded:
-                clock_before = ev.clock
-                measured_before = ev.num_measurements
-                performances = [ev.evaluate(p) for p in forward_points]
-                measured = ev.num_measurements - measured_before
-                self.num_measured += measured
-                self.num_cached += len(forward_points) - measured
-                self.span_seconds += ev.clock - clock_before
-                self.busy_seconds += ev.clock - clock_before
+            if self.workers == 1:
+                performances = self._evaluate_serial(forward_points)
             else:
                 performances = self._evaluate_parallel(forward_points)
             for position, performance in zip(decision.forward, performances):
@@ -310,33 +273,18 @@ class BatchEngine:
                 outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
         else:
             outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
-        # 3. Bill simulated time.  With a cluster supervisor attached the
-        #    batch runs through its lease/heartbeat/speculation scheduler
-        #    (node faults perturb timing and worker health, never the
-        #    outcomes computed above); otherwise job costs are
-        #    list-scheduled onto W virtual workers in submission order
-        #    (LPT).  Either way the batch advances the clock by its
-        #    makespan and each record is stamped with its own completion
-        #    time.
+        # 3. Bill simulated time by greedy list scheduling: in submission
+        #    order, each job's cost goes to the least-loaded of W virtual
+        #    workers.  The batch advances the clock by its makespan and
+        #    each record is stamped with its own completion time.
         batch_start = ev.clock
-        plan = None
-        if self.cluster is not None:
-            plan = self.cluster.schedule_batch(
-                [ev.outcome_cost(o) for o in outcomes], clock=batch_start
-            )
-        if plan is not None:
-            completions = plan.completions
-            makespan = plan.makespan
-            busy = plan.busy_seconds
-        else:
-            loads = [0.0] * self.workers
-            completions = []
-            for outcome in outcomes:
-                worker = min(range(self.workers), key=lambda w: loads[w])
-                loads[worker] += ev.outcome_cost(outcome)
-                completions.append(loads[worker])
-            makespan = max(loads)
-            busy = sum(loads)
+        loads = [0.0] * self.workers
+        completions = []
+        for outcome in outcomes:
+            worker = min(range(self.workers), key=lambda w: loads[w])
+            loads[worker] += ev.outcome_cost(outcome)
+            completions.append(loads[worker])
+        makespan = max(loads)
         # 4. Apply in completion order (stable for ties) so the record
         #    stream and convergence curve have monotone clocks.
         order = sorted(range(len(jobs)), key=lambda j: completions[j])
@@ -349,7 +297,7 @@ class BatchEngine:
                 results[i] = result.performance
         ev.clock = batch_start + makespan
         self.num_measured += len(jobs)
-        self.busy_seconds += busy
+        self.busy_seconds += sum(loads)
         self.span_seconds += makespan
         return [r for r in results]
 
@@ -410,8 +358,6 @@ class BatchEngine:
             payload["eval_cache"] = ev.eval_cache.stats()
         if self.surrogate is not None:
             payload["surrogate"] = self.surrogate.stats()
-        if self.cluster is not None:
-            payload["cluster"] = self.cluster.stats()
         return payload
 
     def report(self) -> str:
@@ -462,6 +408,4 @@ class BatchEngine:
         profile_line = self.evaluator.profiler.report()
         if "(no instrumented calls)" not in profile_line:
             lines.append(profile_line)
-        if self.cluster is not None:
-            lines.append(self.cluster.report())
         return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Multi-tenant tuning service (``docs/serve.md``).
 
-``repro.serve`` turns the measurement substrate of PRs 1–5 into
+``repro.serve`` turns the measurement substrate into
 tuning-as-a-service: many tenants submit tuning jobs against one shared
 worker pool, EvalCache and RecordBook, and the service guarantees that
 **no crash, overload, or poisoned job can lose work or wedge it**:
@@ -18,10 +18,10 @@ worker pool, EvalCache and RecordBook, and the service guarantees that
 * A high-QPS read path — ``lookup(op, shape, device)`` answered
   straight from the RecordBook's O(1) indexes, enqueueing a tuning job
   on miss; lookups keep working even when the measurement pool is
-  fully broken (degraded mode, mirroring ``cluster_degraded``).
+  fully broken (degraded mode).
 
 Everything runs on the simulated clock with seeded chaos injection so
-tests are deterministic, in the style of ``runtime/cluster.py``.
+tests are deterministic, in the style of ``runtime/fault.py``.
 """
 
 from .jobstore import Job, JobState, JobStore, TERMINAL_STATES

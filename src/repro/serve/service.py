@@ -18,7 +18,7 @@ raises is a *job* crash: the job is requeued with its crash counter
 bumped, and ``max_crashes`` crashes quarantine the job, never the
 service (the same policy ``runtime/measure.py`` applies to poisoned
 points).  A broken measurement pool degrades the service to
-lookups-only, mirroring ``BatchEngine.cluster_degraded``.
+lookups-only.
 
 Chaos (:class:`ServeChaos`) is deterministic and test-facing, in the
 style of ``runtime/fault.py``: scripted daemon kills at slice

@@ -127,6 +127,15 @@ class TestCli:
         config, _, metadata = load_schedule(path)
         assert metadata["operator"] == "conv2d"
 
+    def test_measurement_health_block(self, capsys):
+        from repro.__main__ import main
+
+        argv = ["gemm", "--n", "8", "--k", "8", "--m", "8", "--trials", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "measurement health" in out
+        assert "retries" in out
+
     @pytest.mark.parametrize("argv", [
         ["gemm", "--faults"],
         ["conv2d", "--parallel"],
@@ -134,6 +143,12 @@ class TestCli:
         ["tune-network", "--faults"],
         ["selfcheck", "--lint-records"],
         ["gemm", "--lint-records"],
+        ["gemm", "--sample", "100"],
+        ["serve", "--target", "cpu"],
+        ["status", "--enqueue"],
+        ["gemm", "--uniform"],
+        ["submit", "--max-slices", "0"],
+        ["serve", "--ttl", "5"],
     ])
     def test_ignored_flag_exits_nonzero(self, argv, capsys):
         from repro.__main__ import main

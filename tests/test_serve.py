@@ -499,7 +499,7 @@ def test_cli_tune_not_found_exits_nonzero(capsys, monkeypatch):
     class _Tuning:
         num_retries = num_quarantined = quarantine_hits = num_failures = 0
         lint_rejects = num_screened = 0
-        cluster = surrogate = throughput = None
+        surrogate = throughput = None
 
     class _Empty:
         found = False
