@@ -11,13 +11,14 @@ The models need two things the schedule alone doesn't state directly:
 Both are derived from the affine structure of the tensor index expressions
 (``repro.ir.evalexpr``); non-affine accesses (e.g. BCM's modular indexing
 or grouped convolution's ``k // group_size``) conservatively fall back to
-whole-dimension footprints.
+whole-dimension footprints.  None of it depends on the schedule, so
+:class:`OpFacts` derives it once per op and every per-candidate query is
+a dict lookup plus integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,98 +30,101 @@ from ..ir import (
     Tensor,
     affine_coefficients,
     collect_tensor_refs,
+    count_flops_per_point,
     stride_of,
 )
 
 
+class OpFacts:
+    """The schedule-independent access facts of one :class:`ComputeOp`.
+
+    ``reads`` are the body's tensor reads (duplicates included) and
+    ``tensors`` the distinct read tensors in first-read order.  Per read
+    tensor, from its first read: ``coefficients`` holds the per-dimension
+    affine coefficients over ``op.all_axes`` (None for a non-affine
+    dimension), ``footprint_terms`` the ``(size, ((axis, |coeff|), ...))``
+    rows :func:`tile_footprint` sums (terms None for a non-affine
+    dimension), and ``strides`` the flat row-major stride of every axis
+    (None when any dimension is non-affine).  The CPU gather penalty of an
+    axis probes every read with :func:`~repro.ir.stride_of` once, on first
+    request.  Built by :func:`op_facts` and kept on the op (``op._facts``),
+    so it lives exactly as long as the op does.
+    """
+
+    __slots__ = ("reads", "tensors", "flops", "coefficients", "footprint_terms",
+                 "strides", "_gather_penalties", "__weakref__")
+
+    def __init__(self, op: ComputeOp):
+        body = op.body.body if isinstance(op.body, Reduce) else op.body
+        self.reads = tuple(collect_tensor_refs(body))
+        tensors: List[Tensor] = []
+        for ref in self.reads:
+            if not any(ref.tensor is t for t in tensors):
+                tensors.append(ref.tensor)
+        self.tensors = tuple(tensors)
+        flops = op.output.size
+        for axis in op.reduce_axes:
+            flops *= axis.extent
+        self.flops = flops * count_flops_per_point(op.body)
+        axes = op.all_axes
+        self.coefficients: Dict[Tensor, List] = {}
+        self.footprint_terms: Dict[Tensor, Tuple] = {}
+        self.strides: Dict[Tensor, Dict[IterVar, Optional[int]]] = {}
+        for tensor in tensors:
+            ref = next(r for r in self.reads if r.tensor is tensor)
+            per_dim = [affine_coefficients(index, axes) for index in ref.indices]
+            self.coefficients[tensor] = per_dim
+            self.footprint_terms[tensor] = tuple(
+                (size, None if coeffs is None else tuple(
+                    (axis, abs(c)) for axis, c in zip(axes, coeffs) if c))
+                for size, coeffs in zip(tensor.shape, per_dim)
+            )
+            strides: Dict[IterVar, Optional[int]] = dict.fromkeys(axes)
+            if all(coeffs is not None for coeffs in per_dim):
+                for position, axis in enumerate(axes):
+                    stride, row_major = 0, 1
+                    for size, coeffs in zip(reversed(tensor.shape), reversed(per_dim)):
+                        stride += coeffs[position] * row_major
+                        row_major *= size
+                    strides[axis] = stride
+            self.strides[tensor] = strides
+        self._gather_penalties: Dict[IterVar, float] = {}
+
+    def gather_penalty(self, axis: IterVar) -> float:
+        """SIMD efficiency factor of vectorizing ``axis``: 0.3 if any read
+        is non-affine in it, 0.45 if any read strides it by more than one
+        element, else 1."""
+        penalty = self._gather_penalties.get(axis)
+        if penalty is None:
+            penalty = 1.0
+            for ref in self.reads:
+                stride = stride_of(ref.indices, ref.tensor.shape, axis)
+                if stride is None:
+                    penalty = min(penalty, 0.3)
+                elif abs(stride) > 1:
+                    penalty = min(penalty, 0.45)
+            self._gather_penalties[axis] = penalty
+        return penalty
+
+
+def op_facts(op: ComputeOp) -> OpFacts:
+    """The op's :class:`OpFacts`, derived on first use and kept on the op."""
+    facts = op.__dict__.get("_facts")
+    if facts is None:
+        facts = op._facts = OpFacts(op)
+    return facts
+
+
 def tensor_reads(op: ComputeOp):
-    """All tensor-element reads in the op body (including duplicates).
-
-    Memoized — the read set is a fixed property of the op, and the models
-    ask for it on every candidate evaluation.
-    """
-    entry = _READS_CACHE.get(id(op))
-    if entry is not None:
-        return entry[0]
-    body = op.body.body if isinstance(op.body, Reduce) else op.body
-    reads = collect_tensor_refs(body)
-    _READS_CACHE.put(id(op), reads, op)
-    return reads
-
-
-#: LRU capacity of the coefficient cache.  One entry per (op, tensor)
-#: pair is plenty for any single tuning run; the cap keeps long
-#: multi-workload sessions (hundreds of distinct ops) from growing the
-#: cache — and its keep-alive pins — without bound.
-COEFFICIENT_CACHE_CAP = 128
-
-
-class _PinnedLRU:
-    """Bounded LRU for id-keyed memoization of pure analysis queries.
-
-    Values are stored together with the objects whose ``id()`` appears in
-    the key, so those ids stay unique while (and only while) the entry is
-    cached; eviction drops the pin with the entry (the same discipline as
-    ``_COEFFICIENT_CACHE``).  ``get`` returns the ``(value, pins)`` entry
-    or ``None``, so legitimately-``None`` values are representable.
-    """
-
-    __slots__ = ("cap", "data")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.data: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        entry = self.data.get(key)
-        if entry is not None:
-            self.data.move_to_end(key)
-        return entry
-
-    def put(self, key, value, pins) -> None:
-        self.data[key] = (value, pins)
-        while len(self.data) > self.cap:
-            self.data.popitem(last=False)
-
-
-# The performance models call these for every candidate point; the
-# answers depend only on (op, tensor, tile/axis) identity, so memoizing
-# them turns the per-point model evaluation into mostly table lookups
-# (ISSUE #7's hot-path vectorization).
-_FLOPS_CACHE = _PinnedLRU(COEFFICIENT_CACHE_CAP)
-_READS_CACHE = _PinnedLRU(COEFFICIENT_CACHE_CAP)
-_STRIDE_CACHE = _PinnedLRU(1024)
-_FOOTPRINT_CACHE = _PinnedLRU(4096)
-
-# Maps (id(op), id(tensor)) -> (result, op, tensor).  The op/tensor are
-# stored in the value so their ids stay unique while (and only while)
-# the entry is cached; eviction drops the pin together with the entry.
-_COEFFICIENT_CACHE: "OrderedDict" = OrderedDict()
+    """All tensor-element reads in the op body (including duplicates)."""
+    return op_facts(op).reads
 
 
 def access_coefficients(op: ComputeOp, tensor: Tensor):
     """Per-dimension affine coefficients of the op's first read of
-    ``tensor`` over ``op.all_axes`` (None for non-affine dimensions).
-
-    Cached (bounded LRU): the performance models call this for every
-    candidate point, and the probing answer only depends on (op, tensor).
-    """
-    key = (id(op), id(tensor))
-    cached = _COEFFICIENT_CACHE.get(key)
-    if cached is not None:
-        _COEFFICIENT_CACHE.move_to_end(key)
-        return cached[0]
-    axes = list(op.all_axes)
-    refs = [r for r in tensor_reads(op) if r.tensor is tensor]
-    if not refs:
-        result = None
-    else:
-        ref = refs[0]
-        result = [affine_coefficients(index, axes) for index in ref.indices]
-    _COEFFICIENT_CACHE[key] = (result, op, tensor)
-    while len(_COEFFICIENT_CACHE) > COEFFICIENT_CACHE_CAP:
-        _COEFFICIENT_CACHE.popitem(last=False)
-    return result
+    ``tensor`` over ``op.all_axes`` (None for non-affine dimensions, and
+    None overall when the op does not read ``tensor``)."""
+    return op_facts(op).coefficients.get(tensor)
 
 
 def tile_footprint(op: ComputeOp, tensor: Tensor, tile: Dict[IterVar, int]) -> int:
@@ -130,28 +134,20 @@ def tile_footprint(op: ComputeOp, tensor: Tensor, tile: Dict[IterVar, int]) -> i
     default to extent 1.  For each tensor dimension the touched range is
     ``1 + Σ_axes |coeff| * (tile_extent - 1)`` (clipped to the dimension),
     the standard affine footprint bound; a non-affine dimension counts in
-    full.
+    full.  A tensor the op does not read has footprint 0.
     """
-    key = (id(op), id(tensor), tuple((id(a), e) for a, e in tile.items()))
-    entry = _FOOTPRINT_CACHE.get(key)
-    if entry is not None:
-        return entry[0]
-    per_dim = access_coefficients(op, tensor)
-    if per_dim is None:
-        footprint = 0
-    else:
-        axes = list(op.all_axes)
-        footprint = 1
-        for size, coeffs in zip(tensor.shape, per_dim):
-            if coeffs is None:
-                footprint *= size
-                continue
-            reach = 1
-            for axis, coeff in zip(axes, coeffs[:-1]):
-                extent = tile.get(axis, 1)
-                reach += abs(coeff) * (extent - 1)
-            footprint *= min(reach, size)
-    _FOOTPRINT_CACHE.put(key, footprint, (op, tensor, tuple(tile)))
+    rows = op_facts(op).footprint_terms.get(tensor)
+    if rows is None:
+        return 0
+    footprint = 1
+    for size, terms in rows:
+        if terms is None:
+            footprint *= size
+            continue
+        reach = 1
+        for axis, weight in terms:
+            reach += weight * (tile.get(axis, 1) - 1)
+        footprint *= reach if reach < size else size
     return footprint
 
 
@@ -171,34 +167,10 @@ def access_stride(op: ComputeOp, tensor: Tensor, axis: IterVar) -> Optional[int]
     """Flat row-major stride of ``axis`` in the op's read of ``tensor``.
 
     ``None`` means non-affine; ``0`` means the axis does not index the
-    tensor (full reuse along it).
+    tensor (full reuse along it), or the op does not read ``tensor``.
     """
-    key = (id(op), id(tensor), id(axis))
-    entry = _STRIDE_CACHE.get(key)
-    if entry is not None:
-        return entry[0]
-    stride = _access_stride(op, tensor, axis)
-    _STRIDE_CACHE.put(key, stride, (op, tensor, axis))
-    return stride
-
-
-def _access_stride(op: ComputeOp, tensor: Tensor, axis: IterVar) -> Optional[int]:
-    per_dim = access_coefficients(op, tensor)
-    if per_dim is None:
-        return 0
-    axes = list(op.all_axes)
-    try:
-        position = next(i for i, a in enumerate(axes) if a is axis)
-    except StopIteration:
-        return 0
-    stride = 0
-    row_major = 1
-    for size, coeffs in zip(reversed(tensor.shape), reversed(per_dim)):
-        if coeffs is None:
-            return None
-        stride += coeffs[position] * row_major
-        row_major *= size
-    return stride
+    strides = op_facts(op).strides.get(tensor)
+    return 0 if strides is None else strides.get(axis, 0)
 
 
 def coalescing_efficiency(
@@ -249,30 +221,16 @@ def output_write_stride(op: ComputeOp, axis: IterVar) -> int:
 
 def flops_of(op: ComputeOp) -> int:
     """Total floating-point operations of the node (MAC = 2)."""
-    from ..ir import count_flops_per_point
-
-    entry = _FLOPS_CACHE.get(id(op))
-    if entry is not None:
-        return entry[0]
-    total = op.output.size
-    for axis in op.reduce_axes:
-        total *= axis.extent
-    total *= count_flops_per_point(op.body)
-    _FLOPS_CACHE.put(id(op), total, op)
-    return total
+    return op_facts(op).flops
 
 
 def bytes_of(tensor: Tensor, dtype_bytes: int = 4) -> int:
     return tensor.size * dtype_bytes
 
 
-def read_tensors(op: ComputeOp) -> List[Tensor]:
+def read_tensors(op: ComputeOp) -> Tuple[Tensor, ...]:
     """Distinct tensors read by the op body, in first-read order."""
-    tensors: List[Tensor] = []
-    for ref in tensor_reads(op):
-        if not any(ref.tensor is t for t in tensors):
-            tensors.append(ref.tensor)
-    return tensors
+    return op_facts(op).tensors
 
 
 def point_features(space, point) -> np.ndarray:
@@ -291,9 +249,8 @@ def point_features(space, point) -> np.ndarray:
       log tile footprint, log reuse factor, the innermost axis's flat
       access stride, and its coalescing efficiency.
 
-    Deterministic, fixed-length per space, and cheap: the affine
-    coefficients behind footprints/strides come from the bounded
-    :func:`access_coefficients` cache.
+    Deterministic, fixed-length per space, and cheap: footprints and
+    strides read the op's :class:`OpFacts`, derived once per op.
 
     ``space`` is duck-typed (``op``, ``decode``, ``features``) to keep
     ``repro.codegen`` free of an import cycle with ``repro.space``.
@@ -342,13 +299,6 @@ def point_features(space, point) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-#: LRU capacity of the per-space batch-featurization plan cache.
-_BATCH_PLAN_CACHE_CAP = 16
-
-# Maps id(space) -> (plan, space); the space rides along to pin its id.
-_BATCH_PLAN_CACHE: "OrderedDict" = OrderedDict()
-
-
 def _exact_log1p(values: np.ndarray) -> np.ndarray:
     """``math.log1p`` applied elementwise through a unique-value table.
 
@@ -376,7 +326,6 @@ class _BatchFeaturePlan:
 
     def __init__(self, space):
         op: ComputeOp = space.op
-        self.space = space
         self.num_knobs = len(space.knobs)
         # Block 1: the space's own per-knob encoding.
         self.knob_tables = [
@@ -462,10 +411,8 @@ class _BatchFeaturePlan:
                 offset = 1 - int(weights.sum())
                 dims.append(("affine", int(size), weights, offset))
             self.tensor_terms.append(("affine", dims, stride_value, coalescing))
-        self.feature_size = None  # filled by the first batch
 
     def __call__(self, points) -> np.ndarray:
-        op: ComputeOp = self.space.op
         chosen = np.asarray([list(p) for p in points], dtype=np.intp)
         if chosen.size == 0:
             chosen = chosen.reshape(0, self.num_knobs)
@@ -510,9 +457,7 @@ class _BatchFeaturePlan:
                     ],
                     axis=1,
                 ))
-        matrix = np.hstack(blocks) if blocks else np.zeros((len(chosen), 0))
-        self.feature_size = matrix.shape[1]
-        return matrix
+        return np.hstack(blocks) if blocks else np.zeros((len(chosen), 0))
 
 
 def batch_point_features(space, points) -> np.ndarray:
@@ -520,21 +465,14 @@ def batch_point_features(space, points) -> np.ndarray:
     matrix, each row **bit-identical** to ``point_features(space, p)``.
 
     Per-space invariants (affine coefficients, read-tensor order, axis
-    lists, per-choice log tables) are compiled once into a cached
-    :class:`_BatchFeaturePlan`; the per-point cost is integer gathers and
+    lists, per-choice log tables) are compiled once into a
+    :class:`_BatchFeaturePlan` kept on the space; the per-point cost is integer gathers and
     one small matrix product per tensor dimension instead of a
     ``decode()`` + Python loop round trip per candidate.  The parity is
     pinned by ``tests/test_hotpath_parity.py`` across gemm/conv2d spaces
     on every target.
     """
-    key = id(space)
-    cached = _BATCH_PLAN_CACHE.get(key)
-    if cached is not None and cached[1] is space:
-        _BATCH_PLAN_CACHE.move_to_end(key)
-        plan = cached[0]
-    else:
-        plan = _BatchFeaturePlan(space)
-        _BATCH_PLAN_CACHE[key] = (plan, space)
-        while len(_BATCH_PLAN_CACHE) > _BATCH_PLAN_CACHE_CAP:
-            _BATCH_PLAN_CACHE.popitem(last=False)
+    plan = space.__dict__.get("_feature_plan")
+    if plan is None:
+        plan = space._feature_plan = _BatchFeaturePlan(space)
     return plan(points)

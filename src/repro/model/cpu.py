@@ -16,7 +16,7 @@ import math
 from typing import Dict
 
 from ..analysis.lint import cpu_parallel_chunks
-from ..codegen import access_stride, flops_of, tensor_reads, tile_footprint
+from ..codegen import flops_of, op_facts, tile_footprint
 from ..schedule import (
     REORDER_INTERLEAVED,
     REORDER_REDUCE_INNER,
@@ -146,13 +146,4 @@ class CpuModel(PerformanceModel):
 
     def _gather_penalty(self, op, axis) -> float:
         """SIMD loads want the vectorized axis contiguous in its inputs."""
-        worst = 1.0
-        for ref in tensor_reads(op):
-            from ..ir import stride_of
-
-            stride = stride_of(ref.indices, ref.tensor.shape, axis)
-            if stride is None:
-                worst = min(worst, 0.3)
-            elif abs(stride) > 1:
-                worst = min(worst, 0.45)
-        return worst
+        return op_facts(op).gather_penalty(axis)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -503,20 +504,27 @@ class Evaluator:
         are pure accelerations/diagnostics with no effect on results.)
         """
         config = self.measure_config
+        profiler = self.profiler
         fault = Fault.NONE
         if self.fault_injector is not None:
             fault = self.fault_injector.decide(point, attempt_index)
         try:
             if fault is Fault.COMPILE:
                 raise InjectedCompileError("injected compile failure")
-            with self.profiler.section("lower"):
+            started = perf_counter()
+            try:
                 scheduled = self.lower_point(point)
+            finally:
+                profiler.add("lower", perf_counter() - started)
             if fault is Fault.HANG:
                 raise InjectedHang("injected kernel hang")
             if fault is Fault.TRANSIENT:
                 raise InjectedRuntimeError("injected transient device error")
-            with self.profiler.section("model_eval"):
+            started = perf_counter()
+            try:
                 seconds = self.model.estimate_seconds(scheduled)
+            finally:
+                profiler.add("model_eval", perf_counter() - started)
         except LoweringError as exc:
             return MeasureStatus.LOWER_ERROR, INVALID_TIME, str(exc)
         except InjectedHang as exc:

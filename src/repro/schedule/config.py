@@ -55,7 +55,7 @@ class NodeConfig:
         if self.fuse_levels < 1:
             raise ValueError("fuse_levels must be >= 1")
         for factors in tuple(self.spatial_factors) + tuple(self.reduce_factors):
-            if any(f < 1 for f in factors):
+            if min(factors, default=1) < 1:
                 raise ValueError(f"split factors must be positive, got {factors}")
 
     def tile_extents(self, parts: slice) -> Tuple[int, ...]:

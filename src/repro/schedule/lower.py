@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph import MiniGraph, get_graph
-from ..ir import ComputeOp, Expr, IterVar, Var
+from ..ir import ComputeOp, Expr, IterVar, Reduce, Var
 from .config import (
     GraphConfig,
     NodeConfig,
@@ -57,6 +57,11 @@ CPU_REDUCE_PARTS = 2
 FPGA_SPATIAL_PARTS = 2
 
 TARGETS = ("gpu", "cpu", "fpga")
+
+#: ``(var, extent, role, annotation)``: a :class:`LoopDef` before it is
+#: built; the structural phase works in these, :func:`_annotate` builds
+#: each schedule's loops from them.
+LoopSpec = Tuple[Var, int, Tuple, str]
 
 
 class LoweringError(ValueError):
@@ -216,7 +221,7 @@ class LoweredStructure:
     (lazy, materialize-once) index map are shared.
     """
 
-    loop_specs: Tuple[Tuple[Var, int, Tuple, str], ...]
+    loop_specs: Tuple[LoopSpec, ...]
     index_map: LazyIndexMap                  # shared across Scheduled uses
     primitives: Tuple[str, ...]              # structural trace prefix
     has_inner: bool                          # GPU: inner tile loops exist
@@ -250,11 +255,20 @@ class LoweringMemo:
     there), so the key does not need to repeat them.  Configurations
     that fail to lower are never cached — they re-raise on every
     attempt, exactly like the unmemoized path.
+
+    Below the structures it keeps the per-axis splits they are built
+    from: ``splits`` maps ``(axis, kind, index, factors)`` to the split's
+    loop specs, its index-map recipe and its primitive string, so a
+    structural miss whose axes were all split before builds no ``Var``
+    and formats no split primitive.  It holds one entry per distinct
+    factor tuple of each axis, so it is bounded by the space's split
+    knobs.
     """
 
     def __init__(self, capacity: int = 1024):
         self.capacity = max(1, int(capacity))
         self._entries: "OrderedDict[Tuple, LoweredStructure]" = OrderedDict()
+        self.splits: Dict[Tuple, Tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -302,8 +316,6 @@ def lower(
     only in annotation knobs; the result is bit-identical to the
     unmemoized path (pinned by ``tests/test_hotpath_parity.py``).
     """
-    from ..ir import Reduce
-
     graph = output if isinstance(output, MiniGraph) else get_graph(output)
     graph_config = graph_config or GraphConfig()
     main = graph.main_op
@@ -314,13 +326,14 @@ def lower(
         and graph_config.should_inline(op.name)
         and not isinstance(op.body, Reduce)  # reductions cannot be inlined
     )
-    structure = None
-    if memo is not None:
-        structure = memo.get(structural_key(config, target))
-    if structure is None:
-        structure = _structural_lower(main, config, target)
-        if memo is not None:
-            memo.put(structural_key(config, target), structure)
+    if memo is None:
+        structure = _structural_lower(main, config, target, None)
+    else:
+        key = structural_key(config, target)
+        structure = memo.get(key)
+        if structure is None:
+            structure = _structural_lower(main, config, target, memo.splits)
+            memo.put(key, structure)
     scheduled = _annotate(main, structure, config, target)
     scheduled.inlined = inlined
     for op in inlined:
@@ -328,15 +341,19 @@ def lower(
     return scheduled
 
 
-def _structural_lower(op: ComputeOp, config: NodeConfig, target: str) -> LoweredStructure:
-    """Run the expensive half of lowering and freeze it for reuse."""
+def _structural_lower(
+    op: ComputeOp, config: NodeConfig, target: str, splits: Optional[Dict]
+) -> LoweredStructure:
+    """Run the expensive half of lowering and freeze it for reuse.
+
+    ``splits`` is the memo's per-axis split table (None: split afresh)."""
     if target == "gpu":
-        loops, raw, recoveries, primitives, has_inner = _structural_gpu(op, config)
+        loops, raw, recoveries, primitives, has_inner = _structural_gpu(op, config, splits)
     elif target == "cpu":
-        loops, raw, recoveries, primitives = _structural_cpu(op, config)
+        loops, raw, recoveries, primitives = _structural_cpu(op, config, splits)
         has_inner = len(loops) > 1
     elif target == "fpga":
-        loops, raw, recoveries, primitives = _structural_fpga(op, config)
+        loops, raw, recoveries, primitives = _structural_fpga(op, config, splits)
         has_inner = False
     else:
         raise LoweringError(f"unknown target {target!r}; expected one of {TARGETS}")
@@ -346,9 +363,7 @@ def _structural_lower(op: ComputeOp, config: NodeConfig, target: str) -> Lowered
     # model-driven tuning skips that cost entirely.
     index_map = LazyIndexMap(raw, recoveries)
     return LoweredStructure(
-        loop_specs=tuple(
-            (loop.var, loop.extent, loop.role, loop.annotation) for loop in loops
-        ),
+        loop_specs=tuple(loops),
         index_map=index_map,
         primitives=tuple(primitives),
         has_inner=has_inner,
@@ -360,10 +375,7 @@ def _annotate(
 ) -> Scheduled:
     """Apply the cheap, annotation-knob-dependent tail of lowering to a
     fresh clone of the structural loop nest."""
-    loops = [
-        LoopDef(var, extent, role, annotation)
-        for var, extent, role, annotation in structure.loop_specs
-    ]
+    loops = _fresh_loops(structure.loop_specs)
     primitives = list(structure.primitives)
     cached: Tuple = ()
     tensorized = _apply_tensorize(op, loops, config, target, primitives)
@@ -404,6 +416,24 @@ def _annotate(
         primitives=primitives,
         config=config,
     )
+
+
+def _fresh_loops(specs: Sequence[LoopSpec]) -> List[LoopDef]:
+    """New :class:`LoopDef` objects for a structure's loop specs.
+
+    The specs come from the structural phase (positive extents, known
+    annotations), so ``LoopDef.__post_init__``'s checks are skipped: this
+    runs once per lowered point.
+    """
+    loops = []
+    for var, extent, role, annotation in specs:
+        loop = object.__new__(LoopDef)
+        loop.var = var
+        loop.extent = extent
+        loop.role = role
+        loop.annotation = annotation
+        loops.append(loop)
+    return loops
 
 
 def _apply_tensorize(
@@ -464,49 +494,75 @@ def _check_parts(config: NodeConfig, op: ComputeOp, spatial: int, reduce_: int) 
 
 
 def _split_all(
-    axes: Sequence[IterVar], factor_lists, kind: str, primitives: List[str]
-) -> Tuple[List[List[LoopDef]], Dict[IterVar, Tuple]]:
-    """Split every axis, recording index-map *recipes* instead of exprs.
+    axes: Sequence[IterVar],
+    factor_lists,
+    kind: str,
+    primitives: List[str],
+    splits: Optional[Dict],
+) -> Tuple[List[Tuple[LoopSpec, ...]], Dict[IterVar, Tuple]]:
+    """Split every axis into serial loop specs, recording index-map
+    *recipes* instead of exprs.
 
-    Validation and loop construction match :func:`split_axis` exactly;
-    the index re-composition expression is deferred to
-    :class:`LazyIndexMap` (the models never read it).
+    Validation and loops match :func:`split_axis` exactly; the index
+    re-composition expression is deferred to :class:`LazyIndexMap` (the
+    models never read it).  With a ``splits`` table (a memo's), each
+    axis split is built once and reused by every later structure.
     """
-    loops_per_axis: List[List[LoopDef]] = []
+    loops_per_axis: List[Tuple[LoopSpec, ...]] = []
     split_specs: Dict[IterVar, Tuple] = {}
     for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
-        product = 1
-        for f in factors:
-            product *= f
-        if product != axis.extent:
-            raise ValueError(
-                f"split factors {tuple(factors)} do not multiply to extent "
-                f"{axis.extent} of {axis.name}"
-            )
-        loops = [
-            LoopDef(Var(f"{axis.name}.{part}"), factor, (kind, idx, part))
-            for part, factor in enumerate(factors)
-        ]
+        if splits is None:
+            split = _split_axis(axis, factors, kind, idx)
+        else:
+            key = (axis, kind, idx, factors)
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = _split_axis(axis, factors, kind, idx)
+        loops, recipe, primitive = split
         loops_per_axis.append(loops)
-        split_specs[axis] = tuple((loop.var, loop.extent) for loop in loops)
-        primitives.append(f"split {axis.name}({axis.extent}) -> {tuple(factors)}")
+        split_specs[axis] = recipe
+        primitives.append(primitive)
     return loops_per_axis, split_specs
 
 
-def _fuse_structural(loops: Sequence[LoopDef], name: str) -> Tuple[LoopDef, Tuple]:
+def _split_axis(axis: IterVar, factors, kind: str, idx: int) -> Tuple:
+    """One axis split: (loop specs, index-map recipe, primitive)."""
+    product = 1
+    for f in factors:
+        product *= f
+    if product != axis.extent:
+        raise ValueError(
+            f"split factors {tuple(factors)} do not multiply to extent "
+            f"{axis.extent} of {axis.name}"
+        )
+    loops = tuple(
+        (Var(f"{axis.name}.{part}"), factor, (kind, idx, part), SERIAL)
+        for part, factor in enumerate(factors)
+    )
+    recipe = tuple((var, extent) for var, extent, _role, _annotation in loops)
+    return loops, recipe, f"split {axis.name}({axis.extent}) -> {tuple(factors)}"
+
+
+def _fuse_structural(
+    loops: Sequence[LoopSpec], name: str, annotation: str
+) -> Tuple[LoopSpec, Tuple]:
     """Fuse adjacent loops, deferring the div/mod recovery expressions.
 
-    The fused :class:`LoopDef` matches :func:`fuse_loops` exactly; the
-    recovery recipe is handed to :class:`LazyIndexMap`, which builds the
-    same ``(fused // trailing) % extent`` expressions on first read.
+    The fused loop matches :func:`fuse_loops` exactly; the recovery
+    recipe is handed to :class:`LazyIndexMap`, which builds the same
+    ``(fused // trailing) % extent`` expressions on first read.
     """
     if not loops:
         raise ValueError("cannot fuse zero loops")
     total = 1
     for loop in loops:
-        total *= loop.extent
-    fused = LoopDef(Var(name), total, tuple(l.role for l in loops))
-    return fused, (fused.var, tuple((l.var, l.extent) for l in loops))
+        total *= loop[1]
+    fused = (Var(name), total, tuple(loop[2] for loop in loops), annotation)
+    return fused, (fused[0], tuple((loop[0], loop[1]) for loop in loops))
+
+
+def _names(loops: Sequence[LoopSpec]) -> str:
+    return ", ".join(loop[0].name for loop in loops)
 
 
 def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
@@ -527,10 +583,10 @@ def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
 
 def _order_inner(
     reorder: int,
-    reduce_outer: List[LoopDef],
-    spatial_inner: List[LoopDef],
-    reduce_inner: List[LoopDef],
-) -> List[LoopDef]:
+    reduce_outer: List[LoopSpec],
+    spatial_inner: List[LoopSpec],
+    reduce_inner: List[LoopSpec],
+) -> List[LoopSpec]:
     """Arrange the per-thread (or per-core) tile loops per the reorder knob."""
     if reorder == REORDER_REDUCE_INNER:
         return reduce_outer + spatial_inner + reduce_inner
@@ -548,37 +604,30 @@ def _order_inner(
     raise LoweringError(f"unknown reorder choice {reorder}")
 
 
-def _structural_gpu(op: ComputeOp, config: NodeConfig):
+def _structural_gpu(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
     _check_parts(config, op, GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS)
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
-    reduce_loops, reduce_index = _split_all(op.reduce_axes, config.reduce_factors, "reduce", primitives)
+    spatial_loops, index_map = _split_all(
+        op.axes, config.spatial_factors, "spatial", primitives, splits)
+    reduce_loops, reduce_index = _split_all(
+        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
     index_map.update(reduce_index)
 
     block_parts = [loops[0] for loops in spatial_loops]
-    vthread_parts = [loops[1] for loops in spatial_loops]
+    vthread_parts = [loops[1][:3] + (VTHREAD,) for loops in spatial_loops]
     thread_parts = [loops[2] for loops in spatial_loops]
     inner_parts = [loops[3] for loops in spatial_loops]
 
     recoveries = []
-    block_loop, recovery = _fuse_structural(block_parts, f"{op.name}.blockIdx")
-    block_loop.annotation = BLOCK_X
+    block_loop, recovery = _fuse_structural(block_parts, f"{op.name}.blockIdx", BLOCK_X)
     recoveries.append(recovery)
-    primitives.append(
-        "fuse " + ", ".join(l.var.name for l in block_parts) + " -> blockIdx.x"
-    )
+    primitives.append("fuse " + _names(block_parts) + " -> blockIdx.x")
     primitives.append("bind blockIdx.x")
 
-    thread_loop, recovery = _fuse_structural(thread_parts, f"{op.name}.threadIdx")
-    thread_loop.annotation = THREAD_X
+    thread_loop, recovery = _fuse_structural(thread_parts, f"{op.name}.threadIdx", THREAD_X)
     recoveries.append(recovery)
-    primitives.append(
-        "fuse " + ", ".join(l.var.name for l in thread_parts) + " -> threadIdx.x"
-    )
+    primitives.append("fuse " + _names(thread_parts) + " -> threadIdx.x")
     primitives.append("bind threadIdx.x")
-
-    for loop in vthread_parts:
-        loop.annotation = VTHREAD
 
     reduce_outer = [loops[0] for loops in reduce_loops]
     reduce_inner = [loops[1] for loops in reduce_loops]
@@ -589,29 +638,27 @@ def _structural_gpu(op: ComputeOp, config: NodeConfig):
     return loops, index_map, recoveries, primitives, bool(inner)
 
 
-def _structural_cpu(op: ComputeOp, config: NodeConfig):
+def _structural_cpu(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
     _check_parts(config, op, CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS)
     if config.fuse_levels > len(op.axes):
         raise LoweringError(
             f"fuse_levels {config.fuse_levels} exceeds spatial axes {len(op.axes)}"
         )
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
-    reduce_loops, reduce_index = _split_all(op.reduce_axes, config.reduce_factors, "reduce", primitives)
+    spatial_loops, index_map = _split_all(
+        op.axes, config.spatial_factors, "spatial", primitives, splits)
+    reduce_loops, reduce_index = _split_all(
+        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
     index_map.update(reduce_index)
 
     outer_parts = [loops[0] for loops in spatial_loops]
     middle_parts = [loops[1] for loops in spatial_loops]
     inner_parts = [loops[2] for loops in spatial_loops]
 
-    fused_outer, recovery = _fuse_structural(outer_parts[: config.fuse_levels], f"{op.name}.parallel")
-    fused_outer.annotation = PARALLEL
+    fused = outer_parts[: config.fuse_levels]
+    fused_outer, recovery = _fuse_structural(fused, f"{op.name}.parallel", PARALLEL)
     recoveries = [recovery]
-    primitives.append(
-        "fuse "
-        + ", ".join(l.var.name for l in outer_parts[: config.fuse_levels])
-        + " -> outer"
-    )
+    primitives.append("fuse " + _names(fused) + " -> outer")
     primitives.append("parallel outer")
 
     remaining_outer = outer_parts[config.fuse_levels :]
@@ -624,21 +671,20 @@ def _structural_cpu(op: ComputeOp, config: NodeConfig):
     return loops, index_map, recoveries, primitives
 
 
-def _structural_fpga(op: ComputeOp, config: NodeConfig):
+def _structural_fpga(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
     _check_parts(config, op, FPGA_SPATIAL_PARTS, 1)
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
+    spatial_loops, index_map = _split_all(
+        op.axes, config.spatial_factors, "spatial", primitives, splits)
     reduce_loops, reduce_index = _split_all(
-        op.reduce_axes, config.reduce_factors, "reduce", primitives
-    )
+        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
     index_map.update(reduce_index)
 
     outer_parts = [loops[0] for loops in spatial_loops]
     pe_parts = [loops[1] for loops in spatial_loops]
-    pe_loop, recovery = _fuse_structural(pe_parts, f"{op.name}.pe")
-    pe_loop.annotation = PE_PARALLEL
+    pe_loop, recovery = _fuse_structural(pe_parts, f"{op.name}.pe", PE_PARALLEL)
     recoveries = [recovery]
-    primitives.append("fuse " + ", ".join(l.var.name for l in pe_parts) + " -> PE")
+    primitives.append("fuse " + _names(pe_parts) + " -> PE")
 
     reduce_flat = [loops[0] for loops in reduce_loops]
     loops = outer_parts + [pe_loop] + reduce_flat

@@ -41,6 +41,19 @@ from ..schedule import (
 from .factorization import closest_factorization
 from .knobs import ChoiceKnob, Knob, SplitKnob
 
+#: Annotation knob name -> the :class:`NodeConfig` field it sets.
+_CONFIG_FIELDS = {
+    "reorder": "reorder",
+    "fuse": "fuse_levels",
+    "unroll": "unroll_depth",
+    "vectorize": "vectorize",
+    "shared": "use_shared",
+    "tensorize": "tensorize",
+    "partition": "fpga_partition",
+    "pipeline": "fpga_pipeline",
+    "buffer": "fpga_buffer_lines",
+}
+
 
 class Point(tuple):
     """A schedule-space point: one choice index per knob.
@@ -93,6 +106,16 @@ class ScheduleSpace:
         self._neighbors_cache: dict = {}
         self._features_cache: dict = {}
         self._decode_cache: dict = {}
+        # decode(): knob positions of the split factors, and the NodeConfig
+        # field each annotation knob sets (absent knobs keep the default).
+        positions = {k.name: ki for ki, k in enumerate(self.knobs)}
+        self._split_positions = (
+            [positions[f"sp{i}"] for i in range(len(op.axes))],
+            [positions[f"re{i}"] for i in range(len(op.reduce_axes))],
+        )
+        self._field_positions = [
+            (field, positions[name]) for name, field in _CONFIG_FIELDS.items() if name in positions
+        ]
 
     _CACHE_CAP = 8192
 
@@ -256,28 +279,12 @@ class ScheduleSpace:
         return config
 
     def _decode(self, point: Point) -> NodeConfig:
-        values = {
-            knob.name: knob.choices[choice]
-            for knob, choice in zip(self.knobs, point)
-        }
-        spatial = tuple(
-            values[f"sp{i}"] for i in range(len(self.op.axes))
-        )
-        reduce_ = tuple(
-            values[f"re{i}"] for i in range(len(self.op.reduce_axes))
-        )
+        knobs = self.knobs
+        spatial, reduce_ = self._split_positions
         return NodeConfig(
-            spatial_factors=spatial,
-            reduce_factors=reduce_,
-            reorder=values.get("reorder", 0),
-            fuse_levels=values.get("fuse", 1),
-            unroll_depth=values.get("unroll", 0),
-            vectorize=values.get("vectorize", True),
-            use_shared=values.get("shared", True),
-            tensorize=values.get("tensorize", ""),
-            fpga_partition=values.get("partition", 1),
-            fpga_pipeline=values.get("pipeline", 3),
-            fpga_buffer_lines=values.get("buffer", 1),
+            spatial_factors=tuple([knobs[ki].choices[point[ki]] for ki in spatial]),
+            reduce_factors=tuple([knobs[ki].choices[point[ki]] for ki in reduce_]),
+            **{field: knobs[ki].choices[point[ki]] for field, ki in self._field_positions},
         )
 
     def encode(self, config: NodeConfig) -> Point:
@@ -289,17 +296,7 @@ class ScheduleSpace:
             elif knob.name.startswith("re") and knob.name != "reorder":
                 value = config.reduce_factors[int(knob.name[2:])]
             else:
-                value = {
-                    "reorder": config.reorder,
-                    "fuse": config.fuse_levels,
-                    "unroll": config.unroll_depth,
-                    "vectorize": config.vectorize,
-                    "shared": config.use_shared,
-                    "tensorize": config.tensorize,
-                    "partition": config.fpga_partition,
-                    "pipeline": config.fpga_pipeline,
-                    "buffer": config.fpga_buffer_lines,
-                }[knob.name]
+                value = getattr(config, _CONFIG_FIELDS[knob.name])
             point.append(knob.index_of(value))
         return tuple(point)
 

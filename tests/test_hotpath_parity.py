@@ -252,6 +252,44 @@ class TestMemoizedLoweringParity:
             assert memoized.primitives == fresh.primitives
         assert memo.hits + memo.misses == 10
 
+    @pytest.mark.parametrize("target", ["gpu", "cpu", "fpga"])
+    def test_shared_axis_split_across_structures(self, target):
+        # Two configs that split axis 0 the same way but differ elsewhere
+        # (another axis's split, and reorder off FPGA): two structural
+        # misses, the second reusing the memo's per-axis split.
+        out = WORKLOADS["conv2d"]()
+        space = build_space(out, target)
+        from repro.schedule import LoweringMemo, structural_key
+
+        first = space.decode(space.random_point(np.random.default_rng(19)))
+        knob = space.knob("sp1")
+        other = next(f for f in knob.choices if f != first.spatial_factors[1])
+        changes = {"spatial_factors": (first.spatial_factors[0], other)
+                   + first.spatial_factors[2:]}
+        if target != "fpga":
+            changes["reorder"] = (first.reorder + 1) % 3
+        second = first.with_(**changes)
+        assert structural_key(first, target) != structural_key(second, target)
+
+        memo = LoweringMemo()
+        lowered = [lower(out, config, target, memo=memo) for config in (first, second)]
+        assert memo.misses == 2 and memo.hits == 0
+        unfused = ("spatial", 0, 0 if target == "fpga" else 1)
+        shared = [loop.var for loop in lowered[0].loops if loop.role == unfused]
+        assert shared and any(
+            loop.var is shared[0] for loop in lowered[1].loops
+        ), "the second structure did not reuse axis 0's split"
+        inputs = random_inputs(out, seed=0)
+        expected = execute_reference(out, inputs)
+        for config, memoized in zip((first, second), lowered):
+            fresh = lower(out, config, target)
+            assert [
+                (l.var.name, l.extent, l.role, l.annotation) for l in memoized.loops
+            ] == [(l.var.name, l.extent, l.role, l.annotation) for l in fresh.loops]
+            assert memoized.primitives == fresh.primitives
+            assert str(dict(memoized.index_map)) == str(dict(fresh.index_map))
+            np.testing.assert_allclose(execute_scheduled(memoized, inputs), expected)
+
     def test_interp_and_codegen_numerics_through_memo(self):
         out = WORKLOADS["gemm"]()
         space = build_space(out, "gpu")

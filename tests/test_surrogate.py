@@ -1,20 +1,17 @@
 """Surrogate-guided batch screening (ISSUE #4): GBT state roundtrips,
 deterministic screening, bit-identical kill+resume with the surrogate
 attached, surrogate-off trajectory preservation, featurization
-properties, and the bounded coefficient cache."""
+properties, and the lifetime of per-op access facts."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.codegen import point_features
-from repro.codegen.features import (
-    COEFFICIENT_CACHE_CAP,
-    _COEFFICIENT_CACHE,
-    access_coefficients,
-    read_tensors,
-)
+from repro.codegen.features import access_coefficients, op_facts, read_tensors, tile_footprint
 from repro.explore import FlexTensorTuner, SurrogateScreen, spearman
 from repro.learn import GradientBoostedTrees
 from repro.model import V100
@@ -103,19 +100,26 @@ class TestPointFeatures:
         )
 
 
-class TestCoefficientCacheBound:
-    def test_cache_never_exceeds_cap(self):
-        _COEFFICIENT_CACHE.clear()
-        for i in range(COEFFICIENT_CACHE_CAP + 40):
-            op = gemm_compute(4, 4, 4, name=f"g{i}").op
-            access_coefficients(op, read_tensors(op)[0])
-        assert len(_COEFFICIENT_CACHE) <= COEFFICIENT_CACHE_CAP
-
-    def test_hit_returns_same_object(self):
+class TestOpFactsLifetime:
+    def test_facts_are_derived_once_per_op(self):
         op = gemm_compute(4, 4, 4, name="ghit").op
+        facts = op_facts(op)
         tensor = read_tensors(op)[0]
-        first = access_coefficients(op, tensor)
-        assert access_coefficients(op, tensor) is first
+        tile_footprint(op, tensor, {axis: 2 for axis in op.all_axes})
+        assert op_facts(op) is facts
+        assert access_coefficients(op, tensor) is facts.coefficients[tensor]
+        # A structurally identical op gets its own facts.
+        assert op_facts(gemm_compute(4, 4, 4, name="ghit").op) is not facts
+
+    def test_facts_are_released_with_the_op(self):
+        out = gemm_compute(4, 4, 4, name="gfree")
+        op = out.op
+        facts = weakref.ref(op_facts(op))
+        dead_op = weakref.ref(op)
+        del out, op
+        gc.collect()
+        assert dead_op() is None
+        assert facts() is None
 
 
 class TestScreening:
