@@ -48,12 +48,21 @@ class MLP:
 
     ``forward`` keeps no state; ``train_batch`` runs one gradient step on
     a masked mean-squared error (only the Q-values of taken actions carry
-    loss, the DQN convention).
+    loss, the DQN convention).  A network built with ``trainable=False``
+    (the DQN target copy, only ever overwritten by ``copy_from``) has no
+    optimizer, so its snapshots carry weights and biases only.
     """
 
     NUM_LAYERS = 4
 
-    def __init__(self, input_size: int, output_size: int, hidden: int = 64, seed: int = 0):
+    def __init__(
+        self,
+        input_size: int,
+        output_size: int,
+        hidden: int = 64,
+        seed: int = 0,
+        trainable: bool = True,
+    ):
         rng = np.random.default_rng(seed)
         sizes = [input_size, hidden, hidden, hidden, output_size]
         self.weights: List[np.ndarray] = []
@@ -62,7 +71,10 @@ class MLP:
             scale = np.sqrt(2.0 / fan_in)
             self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
             self.biases.append(np.zeros(fan_out))
-        self._optimizer = AdaDelta([w.shape for w in self.weights] + [b.shape for b in self.biases])
+        self._optimizer = (
+            AdaDelta([w.shape for w in self.weights] + [b.shape for b in self.biases])
+            if trainable else None
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a batch (or single vector) of features."""
@@ -121,14 +133,22 @@ class MLP:
         float64 -> repr round-trips exactly through JSON, so a restored
         network continues training bit-identically.
         """
-        return {
+        state = {
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "optimizer": self._optimizer.get_state(),
         }
+        if self._optimizer is not None:
+            state["optimizer"] = self._optimizer.get_state()
+        return state
 
     def set_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
+        """Restore a snapshot produced by :meth:`get_state`.
+
+        A network without an optimizer ignores the ``optimizer`` entry
+        that snapshots of a trainable network (or older snapshots of the
+        target copy) carry.
+        """
         self.weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
         self.biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
-        self._optimizer.set_state(state["optimizer"])
+        if self._optimizer is not None:
+            self._optimizer.set_state(state["optimizer"])

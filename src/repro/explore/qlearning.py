@@ -51,7 +51,10 @@ class QAgent:
         self.epsilon_min = epsilon_min
         self.train_period = train_period
         self.network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
-        self.target_network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
+        # The target copy is only ever overwritten, never trained.
+        self.target_network = MLP(
+            space.feature_size, space.num_directions, hidden, seed=seed, trainable=False
+        )
         self.target_network.copy_from(self.network)
         self.transitions: List[Transition] = []
         self.losses: List[float] = []
@@ -176,8 +179,9 @@ class QAgent:
 
     def get_state(self) -> dict:
         """JSON-compatible snapshot of everything that evolves during a
-        run: exploration rate, replay buffer, direction prior, both
-        networks (with optimizer accumulators), and the private RNG."""
+        run: exploration rate, replay buffer, direction prior, the
+        network with its optimizer accumulators, the target network's
+        weights, and the private RNG."""
         return {
             "epsilon": self.epsilon,
             "trials_since_training": self._trials_since_training,

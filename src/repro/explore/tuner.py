@@ -187,12 +187,21 @@ class BaseTuner:
             num_seeds: heuristic + random seed points evaluated up front.
             checkpoint: path of a JSONL checkpoint file; when set, full
                 tuner state is snapshotted every ``checkpoint_every``
-                trials (atomic write-then-rename).
-            checkpoint_every: snapshot period in trials.
+                trials and always after the call's last trial (atomic
+                write-then-rename), so the end of every call is durable.
+            checkpoint_every: snapshot period in trials, counted from the
+                trial this call starts at (after a resume, the restored
+                trial).  1 makes every trial durable; a sliced caller
+                that only commits at slice ends passes its slice size and
+                gets exactly one snapshot per call.  Must be at least 1.
             resume: restore the newest snapshot from ``checkpoint`` (if
                 any) and continue from its trial index; the finished run
                 is bit-identical to an uninterrupted one.
         """
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be at least 1, got {checkpoint_every!r}"
+            )
         start_trial = 0
         if checkpoint and resume:
             start_trial = self._restore(checkpoint)
@@ -201,7 +210,10 @@ class BaseTuner:
         for trial in range(start_trial, trials):
             self._run_trial(trial)
             self._end_trial(trial)
-            if checkpoint and (trial + 1) % checkpoint_every == 0:
+            if checkpoint and (
+                (trial + 1 - start_trial) % checkpoint_every == 0
+                or trial + 1 == trials
+            ):
                 save_checkpoint(checkpoint, self._snapshot(trial + 1))
         result = self._result()
         if self.engine is not None:

@@ -16,8 +16,11 @@ problem in the style of MetaSchedule/Ansor:
    network time.
 
 2. **Gain-driven allocation** — tuning proceeds in rounds of short trial
-   slices (``optimize(checkpoint=..., resume=True, checkpoint_every=1)``
-   — sliced tuning is bit-identical to one-shot, the PR-6 contract).
+   slices, each one ``optimize(checkpoint=..., resume=True,
+   checkpoint_every=<slice size>)`` call — sliced tuning is bit-identical
+   to one-shot.  The tuner snapshots once, at the slice's last trial:
+   the slice is the unit the scheduler commits, so per-trial snapshots
+   would be written and never resumed from.
    Every round re-ranks the runnable tasks by *predicted end-to-end
    latency gain*: the observed improvement of the task's network-time
    contribution per trial over its recent slices.  Cold tasks (no trials
@@ -40,8 +43,9 @@ problem in the style of MetaSchedule/Ansor:
 Everything the scheduler decides is a pure function of the seed and the
 initial store state: ranking uses no RNG, ties break deterministically
 on (weight, task index), and the whole run checkpoints after every
-slice, so a mid-run kill resumes bit-identically — allocation decisions
-included.  See ``docs/network.md``.
+slice, so a kill at a slice boundary resumes bit-identically —
+allocation decisions included.  A kill inside a slice re-runs that
+slice from the previous boundary.  See ``docs/network.md``.
 """
 
 from __future__ import annotations
@@ -654,7 +658,9 @@ class NetworkTaskScheduler:
             eval_cache=self.eval_cache,
             measure_config=self.measure_config,
             checkpoint=self._task_checkpoint(task),
-            checkpoint_every=1,
+            # One tuner snapshot per slice: the slice end is the only
+            # point this scheduler commits at (``_drain_plan``).
+            checkpoint_every=increment,
             resume=True,
             **self.tuner_kwargs,
         )

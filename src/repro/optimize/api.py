@@ -201,7 +201,13 @@ def optimize(
         fault_injector: a :class:`~repro.runtime.FaultInjector` imposing
             simulated compile errors, hangs and flaky measurements.
         checkpoint: path of a JSONL checkpoint file; tuner state is
-            snapshotted every ``checkpoint_every`` trials when set.
+            snapshotted every ``checkpoint_every`` trials and after the
+            last trial when set.
+        checkpoint_every: snapshot period in trials (at least 1),
+            counted from the trial this call starts or resumes at.  The
+            default 1 makes every trial durable, which the tuning
+            service relies on; the network scheduler passes its slice
+            size for one snapshot per slice (``docs/robustness.md``).
         resume: restore the newest checkpoint snapshot (if any) and
             continue the interrupted run from its trial index.
         workers: candidate evaluations per batch.  1 (default) keeps the

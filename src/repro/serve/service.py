@@ -300,6 +300,8 @@ class TuningService:
             seed=job.seed,
             method=job.method,
             checkpoint=self.store.checkpoint_path(job.job_id),
+            # Every trial durable, not only the slice end: the daemon may
+            # die anywhere inside a slice (see the docstring).
             checkpoint_every=1,
             resume=True,
             workers=self.config.workers,

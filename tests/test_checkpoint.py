@@ -1,14 +1,20 @@
 """Checkpoint/resume: atomic JSONL snapshots, corrupt-file tolerance, and
 bit-identical resume of killed tuning runs (ISSUE #1)."""
 
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.explore.tuner as tuner_module
 from repro import optimize
 from repro.__main__ import main as cli_main
 from repro.explore import FlexTensorTuner, RandomSampleTuner
+from repro.explore.qlearning import QAgent
 from repro.model import V100
-from repro.ops import conv2d_compute
+from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import (
     Evaluator,
     FaultInjector,
@@ -156,6 +162,116 @@ class TestResumeDeterminism:
             3, num_seeds=3, checkpoint=tmp_path / "never-written.ckpt", resume=True
         )
         assert resumed.best_point == fresh.best_point
+
+
+class TestCheckpointCadence:
+    """``tune()`` snapshots every ``checkpoint_every`` trials counted from
+    the trial the call started at, and always after its last trial."""
+
+    def record_saves(self, monkeypatch):
+        saved = []
+        real = tuner_module.save_checkpoint
+
+        def spy(path, snapshot, *args, **kwargs):
+            saved.append(snapshot["trial"])
+            return real(path, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "save_checkpoint", spy)
+        return saved
+
+    def test_last_trial_is_durable_off_the_period(self, tmp_path, monkeypatch):
+        saved = self.record_saves(monkeypatch)
+        path = tmp_path / "c.ckpt"
+        first = FlexTensorTuner(smoke_evaluator(), seed=7).tune(
+            7, num_seeds=3, checkpoint=path, checkpoint_every=3
+        )
+        assert saved == [3, 6, 7]
+        assert load_checkpoint(path)["trial"] == 7
+        # Resuming at the final snapshot runs no further trial and
+        # reproduces the finished run exactly.
+        del saved[:]
+        resumed_evaluator = smoke_evaluator()
+        resumed = FlexTensorTuner(resumed_evaluator, seed=7).tune(
+            7, num_seeds=3, checkpoint=path, checkpoint_every=3, resume=True
+        )
+        assert saved == []
+        assert resumed.best_point == first.best_point
+        assert resumed.best_performance == first.best_performance
+        assert resumed.exploration_seconds == first.exploration_seconds
+        assert resumed.num_measurements == first.num_measurements
+        assert resumed.curve == first.curve
+
+    def test_period_counts_from_the_resumed_trial(self, tmp_path, monkeypatch):
+        saved = self.record_saves(monkeypatch)
+        path = tmp_path / "c.ckpt"
+        RandomSampleTuner(smoke_evaluator(), seed=7).tune(
+            2, num_seeds=2, checkpoint=path, checkpoint_every=5
+        )
+        RandomSampleTuner(smoke_evaluator(), seed=7).tune(
+            9, num_seeds=2, checkpoint=path, checkpoint_every=3, resume=True
+        )
+        assert saved == [2, 5, 8, 9]
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_period_below_one_is_rejected_before_measuring(self, tmp_path, every):
+        evaluator = smoke_evaluator()
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            optimize(
+                smoke_output(), V100, trials=3, seed=5,
+                checkpoint=tmp_path / "c.ckpt", checkpoint_every=every,
+            )
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            FlexTensorTuner(evaluator, seed=7).tune(
+                3, checkpoint=tmp_path / "c.ckpt", checkpoint_every=every
+            )
+        assert evaluator.num_measurements == 0
+        assert not (tmp_path / "c.ckpt").exists()
+
+
+#: A Q-method snapshot written before the DQN target network lost its
+#: (never used, all-zero) AdaDelta accumulators: the newest line of
+#: ``FlexTensorTuner(Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
+#: num_starting_points=2, steps=2, train_period=2)`` with its agent
+#: replaced by ``QAgent(space, epsilon=0.5, train_period=2, seed=7,
+#: hidden=4)``, after ``tune(3, num_seeds=2, checkpoint=...)``.
+OLD_FORMAT_SNAPSHOT = Path(__file__).parent / "data" / "qmethod-target-optimizer.ckpt"
+
+
+class TestOldFormatSnapshot:
+    def small_tuner(self):
+        tuner = FlexTensorTuner(
+            Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
+            num_starting_points=2, steps=2, train_period=2,
+        )
+        tuner.agent = QAgent(
+            tuner.space, epsilon=0.5, train_period=2, seed=7, hidden=4
+        )
+        return tuner
+
+    def test_target_optimizer_snapshot_resumes_bit_identically(self, tmp_path):
+        old = json.loads(OLD_FORMAT_SNAPSHOT.read_text())
+        assert old["trial"] == 3
+        assert "optimizer" in old["state"]["agent"]["target_network"]
+
+        full_tuner = self.small_tuner()
+        full = full_tuner.tune(6, num_seeds=2)
+
+        path = tmp_path / "old.ckpt"
+        shutil.copy(OLD_FORMAT_SNAPSHOT, path)
+        resumed_tuner = self.small_tuner()
+        resumed = resumed_tuner.tune(6, num_seeds=2, checkpoint=path, resume=True)
+
+        assert resumed.best_point == full.best_point
+        assert resumed.best_performance == full.best_performance
+        assert resumed.exploration_seconds == full.exploration_seconds
+        assert resumed.num_measurements == full.num_measurements
+        assert resumed.curve == full.curve
+        assert resumed_tuner.agent.get_state() == full_tuner.agent.get_state()
+        # Snapshots written from here on carry the target's weights only.
+        newest = load_checkpoint(path)
+        assert newest["trial"] == 6
+        assert "optimizer" not in newest["state"]["agent"]["target_network"]
+        assert "optimizer" in newest["state"]["agent"]["network"]
 
 
 class TestOptimizeWiring:

@@ -1,10 +1,13 @@
 """Network-level task scheduler: dedup, determinism, crash parity,
 ε-floor fairness, shared-cache accounting, and the serve read path."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import repro.explore.tuner as explore_tuner
 from repro.__main__ import main
 from repro.model import XEON_E5_2699V4
 from repro.nn import (
@@ -128,6 +131,48 @@ class TestKillResumeParity:
                 run(tmp_path, chaos=NetworkChaos(kill_after_slices=1))
             except Exception:  # noqa: BLE001 - the point of the test
                 pytest.fail("NetworkKilled must not be an Exception")
+
+
+class TestSliceCommitCadence:
+    def test_one_tuner_snapshot_per_slice(self, tmp_path, monkeypatch):
+        """A slice writes exactly one tuner snapshot, at its end trial:
+        the scheduler commits at slice boundaries only, so per-trial
+        snapshots inside a slice would be written and never used."""
+        saves = []
+        real_save = explore_tuner.save_checkpoint
+
+        def spy(path, snapshot, *args, **kwargs):
+            saves.append((Path(path), snapshot["trial"]))
+            return real_save(path, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(explore_tuner, "save_checkpoint", spy)
+        slices = []
+        real_run_slice = NetworkTaskScheduler._run_slice
+
+        def run_slice(scheduler, task, reason):
+            start = task.run_trials
+            del saves[:]
+            real_run_slice(scheduler, task, reason)
+            end = task.run_trials
+            if end == start:          # no trials left to grant: no slice
+                assert saves == []
+                return
+            path = scheduler._task_checkpoint(task)
+            assert saves == [(path, end)]
+            trials = [json.loads(line)["trial"] for line in path.read_text().splitlines()]
+            assert trials[-1] == end
+            assert not any(start < trial < end for trial in trials)
+            slices.append((reason, end - start))
+
+        monkeypatch.setattr(NetworkTaskScheduler, "_run_slice", run_slice)
+        run(
+            tmp_path, trials=6, slice_trials=3, patience=1, min_trials=3,
+            cap_boost=3.0, restart_trials=4,
+        )
+        # The run covers the two slice sizes other than ``slice_trials``:
+        # a restart's full runway and a slice capped by the budget left.
+        assert ("restart", 4) in slices
+        assert any(size < 3 for _reason, size in slices)
 
 
 class TestEpsilonFloor:
