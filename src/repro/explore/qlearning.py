@@ -180,8 +180,13 @@ class QAgent:
     def get_state(self) -> dict:
         """JSON-compatible snapshot of everything that evolves during a
         run: exploration rate, replay buffer, direction prior, the
-        network with its optimizer accumulators, the target network's
-        weights, and the private RNG."""
+        network with its optimizer accumulators, and the private RNG.
+
+        The target network is not stored: only :meth:`train` writes
+        either network and it ends by copying the network into the
+        target (as the constructor does), so at every snapshot point the
+        target equals the network bit for bit and :meth:`set_state`
+        rebuilds it from there."""
         return {
             "epsilon": self.epsilon,
             "trials_since_training": self._trials_since_training,
@@ -198,7 +203,6 @@ class QAgent:
             ],
             "losses": list(self.losses),
             "network": self.network.get_state(),
-            "target_network": self.target_network.get_state(),
             "rng": self._rng.bit_generator.state,
         }
 
@@ -219,7 +223,11 @@ class QAgent:
         ]
         self.losses = list(state.get("losses", []))
         self.network.set_state(state["network"])
-        self.target_network.set_state(state["target_network"])
+        if "target_network" in state:
+            # Older snapshots stored the (equal) target weights.
+            self.target_network.set_state(state["target_network"])
+        else:
+            self.target_network.copy_from(self.network)
         self._rng.bit_generator.state = state["rng"]
 
 

@@ -22,6 +22,7 @@ where it stopped (``docs/robustness.md``).
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -189,6 +190,9 @@ class BaseTuner:
                 tuner state is snapshotted every ``checkpoint_every``
                 trials and always after the call's last trial (atomic
                 write-then-rename), so the end of every call is durable.
+                The evaluator's eval cache, if any, buffers its appends
+                and makes them durable right before each snapshot and at
+                the end of the call.
             checkpoint_every: snapshot period in trials, counted from the
                 trial this call starts at (after a resume, the restored
                 trial).  1 makes every trial durable; a sliced caller
@@ -205,16 +209,24 @@ class BaseTuner:
         start_trial = 0
         if checkpoint and resume:
             start_trial = self._restore(checkpoint)
-        if start_trial == 0:
-            self._seed(num_seeds)
-        for trial in range(start_trial, trials):
-            self._run_trial(trial)
-            self._end_trial(trial)
-            if checkpoint and (
-                (trial + 1 - start_trial) % checkpoint_every == 0
-                or trial + 1 == trials
-            ):
-                save_checkpoint(checkpoint, self._snapshot(trial + 1))
+        cache = self.evaluator.eval_cache
+        # Snapshots are the commit points: cache lines are buffered in
+        # between and flushed right before each snapshot, so a snapshot
+        # is never durable ahead of the entries it depends on and a kill
+        # loses exactly the entries a resume will measure again.
+        with cache.deferred() if cache is not None else nullcontext():
+            if start_trial == 0:
+                self._seed(num_seeds)
+            for trial in range(start_trial, trials):
+                self._run_trial(trial)
+                self._end_trial(trial)
+                if checkpoint and (
+                    (trial + 1 - start_trial) % checkpoint_every == 0
+                    or trial + 1 == trials
+                ):
+                    if cache is not None:
+                        cache.flush()
+                    save_checkpoint(checkpoint, self._snapshot(trial + 1))
         result = self._result()
         if self.engine is not None:
             # Engine counters are per-process, so after a resume they

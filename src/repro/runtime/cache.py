@@ -11,6 +11,14 @@ performance value, so *permanent* failures (compile errors, lowering
 errors, timeouts) are cached too and never re-measured on a warm run.
 Like the PR-1 :class:`RecordBook`, a file truncated mid-append (killed
 process) or hand-corrupted loses only the bad lines, never the cache.
+
+Durability follows the caller's commit points.  Outside a
+:meth:`EvalCache.deferred` span every ``put`` appends one fsync'd line.
+Inside a span, ``put`` answers later reads at once but buffers its line;
+:meth:`EvalCache.flush` writes the buffer under one lock with one fsync.
+A tuner flushes right before each checkpoint snapshot, so a kill loses
+exactly the entries measured after the newest durable snapshot, and the
+resumed run measures (and bills) them again as an uninterrupted run did.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ import json
 import os
 import warnings
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .locking import locked
 
@@ -37,10 +46,11 @@ class EvalCache:
     The cache maps ``(op_signature, canonical_point)`` to
     ``(performance, status_value)``.  ``op_signature`` is produced by the
     evaluator and encodes operator structure, shapes, target and device,
-    so one directory can safely serve many workloads.  Writes append one
-    fsync'd JSONL line (crash loses at most the line being written, which
-    the loader then skips); reads hit the LRU first and fall back to the
-    disk-loaded index.
+    so one directory can safely serve many workloads.  Outside a
+    :meth:`deferred` span, writes append one fsync'd JSONL line (a crash
+    loses at most the line being written, which the loader then skips);
+    inside one they are buffered until :meth:`flush`.  Reads hit the LRU
+    first and fall back to the disk-loaded index.
     """
 
     def __init__(
@@ -56,6 +66,9 @@ class EvalCache:
         self.misses = 0
         self.stores = 0
         self.disk_hits = 0
+        # Entries stored since the last flush of the open deferred span
+        # (None: no span open, every put is durable at once).
+        self._pending: Optional[List[Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]]] = None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._load()
@@ -94,25 +107,64 @@ class EvalCache:
                 continue
             yield key, value
 
-    def _append(self, signature: str, point: Tuple[int, ...], perf: float, status: str) -> None:
+    def _append(self, entries) -> None:
+        """Append ``(key, value)`` entries as JSONL lines: one lock hold,
+        one fsync."""
         path = self.path
-        if path is None:
+        if path is None or not entries:
             return
-        line = json.dumps({
-            "v": EVALCACHE_VERSION,
-            "sig": signature,
-            "point": list(point),
-            "perf": perf,
-            "status": status,
-        })
+        text = "".join(
+            json.dumps({
+                "v": EVALCACHE_VERSION,
+                "sig": signature,
+                "point": list(point),
+                "perf": perf,
+                "status": status,
+            }) + "\n"
+            for (signature, point), (perf, status) in entries
+        )
         # Open-per-append: worker processes forked mid-run never share a
         # stale file-descriptor offset with the parent.  The flock keeps
         # appends from separate tuner processes sharing one cache dir
         # whole-line atomic even where write() interleaving is possible.
         with open(path, "a") as f, locked(f):
-            f.write(line + "\n")
+            f.write(text)
             f.flush()
             os.fsync(f.fileno())
+
+    @contextmanager
+    def deferred(self) -> Iterator[None]:
+        """Buffer durable writes until :meth:`flush` (or the span's end).
+
+        Inside the span ``put`` updates the in-memory index at once, so
+        later reads in this process hit, but its line waits for the next
+        :meth:`flush`.  Leaving the span normally flushes; leaving it by
+        an exception rolls back like a crash would: the unflushed lines
+        never reach the file and their keys leave the index.  Spans do
+        not nest.
+        """
+        if self._pending is not None:
+            raise RuntimeError("EvalCache.deferred() spans do not nest")
+        self._pending = []
+        try:
+            yield
+        except BaseException:
+            for key, _value in self._pending:
+                self._memory.pop(key, None)
+                self._disk.pop(key, None)
+            self.stores -= len(self._pending)
+            raise
+        else:
+            self.flush()
+        finally:
+            self._pending = None
+
+    def flush(self) -> None:
+        """Make every entry buffered by the open deferred span durable
+        (a no-op outside a span)."""
+        if self._pending:
+            entries, self._pending = self._pending, []
+            self._append(entries)
 
     # -- public API --------------------------------------------------------
 
@@ -139,13 +191,17 @@ class EvalCache:
         if key in self._memory or key in self._disk:
             return
         self.stores += 1
-        self._remember(key, (perf, status))
+        value = (perf, status)
+        self._remember(key, value)
         if self.cache_dir is not None:
             # Mirror into the durable index too, so the entry survives
             # LRU eviction within this process exactly as it does a
             # restart.
-            self._disk[key] = (perf, status)
-            self._append(signature, key[1], perf, status)
+            self._disk[key] = value
+        if self._pending is not None:
+            self._pending.append((key, value))
+        else:
+            self._append([(key, value)])
 
     def _remember(self, key, value) -> None:
         self._memory[key] = value

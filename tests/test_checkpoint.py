@@ -228,13 +228,16 @@ class TestCheckpointCadence:
         assert not (tmp_path / "c.ckpt").exists()
 
 
-#: A Q-method snapshot written before the DQN target network lost its
-#: (never used, all-zero) AdaDelta accumulators: the newest line of
+#: Q-method snapshots in the two older formats, each the newest line of
 #: ``FlexTensorTuner(Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
 #: num_starting_points=2, steps=2, train_period=2)`` with its agent
 #: replaced by ``QAgent(space, epsilon=0.5, train_period=2, seed=7,
-#: hidden=4)``, after ``tune(3, num_seeds=2, checkpoint=...)``.
+#: hidden=4)``, after ``tune(3, num_seeds=2, checkpoint=...)``.  The first
+#: stores the DQN target network with its (never used, all-zero) AdaDelta
+#: accumulators; the second stores the target's weights and biases only.
+#: Snapshots written now store no target network at all.
 OLD_FORMAT_SNAPSHOT = Path(__file__).parent / "data" / "qmethod-target-optimizer.ckpt"
+TARGET_WEIGHTS_SNAPSHOT = Path(__file__).parent / "data" / "qmethod-target-weights.ckpt"
 
 
 class TestOldFormatSnapshot:
@@ -248,16 +251,12 @@ class TestOldFormatSnapshot:
         )
         return tuner
 
-    def test_target_optimizer_snapshot_resumes_bit_identically(self, tmp_path):
-        old = json.loads(OLD_FORMAT_SNAPSHOT.read_text())
-        assert old["trial"] == 3
-        assert "optimizer" in old["state"]["agent"]["target_network"]
-
+    def resume_matches_uninterrupted(self, fixture, tmp_path):
         full_tuner = self.small_tuner()
         full = full_tuner.tune(6, num_seeds=2)
 
         path = tmp_path / "old.ckpt"
-        shutil.copy(OLD_FORMAT_SNAPSHOT, path)
+        shutil.copy(fixture, path)
         resumed_tuner = self.small_tuner()
         resumed = resumed_tuner.tune(6, num_seeds=2, checkpoint=path, resume=True)
 
@@ -267,11 +266,73 @@ class TestOldFormatSnapshot:
         assert resumed.num_measurements == full.num_measurements
         assert resumed.curve == full.curve
         assert resumed_tuner.agent.get_state() == full_tuner.agent.get_state()
-        # Snapshots written from here on carry the target's weights only.
+        # Snapshots written from here on store no target network.
         newest = load_checkpoint(path)
         assert newest["trial"] == 6
-        assert "optimizer" not in newest["state"]["agent"]["target_network"]
+        assert "target_network" not in newest["state"]["agent"]
         assert "optimizer" in newest["state"]["agent"]["network"]
+
+    def test_target_optimizer_snapshot_resumes_bit_identically(self, tmp_path):
+        old = json.loads(OLD_FORMAT_SNAPSHOT.read_text())
+        assert old["trial"] == 3
+        assert "optimizer" in old["state"]["agent"]["target_network"]
+        self.resume_matches_uninterrupted(OLD_FORMAT_SNAPSHOT, tmp_path)
+
+    def test_target_weights_snapshot_resumes_bit_identically(self, tmp_path):
+        old = json.loads(TARGET_WEIGHTS_SNAPSHOT.read_text())
+        assert old["trial"] == 3
+        assert set(old["state"]["agent"]["target_network"]) == {"weights", "biases"}
+        self.resume_matches_uninterrupted(TARGET_WEIGHTS_SNAPSHOT, tmp_path)
+
+
+def network_arrays(network):
+    return network.weights + network.biases
+
+
+class TestTargetNetworkInvariant:
+    def tuner(self):
+        return FlexTensorTuner(
+            Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
+            num_starting_points=2, steps=2, train_period=2,
+        )
+
+    def test_target_equals_network_after_every_trial(self):
+        """Snapshots rebuild the target from the online network, which is
+        exact only if the two are bit-identical at every snapshot point,
+        that is, after every trial."""
+        tuner = self.tuner()
+        checked = []
+        real_end_trial = tuner._end_trial
+
+        def end_trial(trial):
+            real_end_trial(trial)
+            agent = tuner.agent
+            online = network_arrays(agent.network)
+            target = network_arrays(agent.target_network)
+            assert len(online) == len(target) == 2 * agent.network.NUM_LAYERS
+            for a, b in zip(online, target):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            checked.append((trial, len(agent.losses)))
+
+        tuner._end_trial = end_trial
+        tuner.tune(8, num_seeds=2)
+        assert [trial for trial, _ in checked] == list(range(8))
+        # The run trained (train_period=2), so the invariant was checked
+        # across real weight updates, not only on the initial copy.
+        assert checked[-1][1] == 4
+
+    def test_resume_rebuilds_the_trained_target(self, tmp_path):
+        path = tmp_path / "q.ckpt"
+        killed = self.tuner()
+        killed.tune(3, num_seeds=2, checkpoint=path)
+        assert killed.agent.losses                 # trained before the kill
+        assert "target_network" not in load_checkpoint(path)["state"]["agent"]
+        resumed = self.tuner()
+        assert resumed._restore(path) == 3
+        before = network_arrays(killed.agent.target_network)
+        after = network_arrays(resumed.agent.target_network)
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
 
 class TestOptimizeWiring:

@@ -4,10 +4,12 @@ starts, and key isolation between workloads/devices/fault setups."""
 
 import multiprocessing
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.explore.tuner as tuner_module
 from repro.explore import FlexTensorTuner
 from repro.model import DEVICES, V100
 from repro.ops import conv2d_compute, gemm_compute
@@ -18,6 +20,8 @@ from repro.runtime import (
     FaultInjector,
     MeasureConfig,
 )
+
+from .kills import MeasureKilled, patch_measure_kill
 
 
 def gemm_evaluator(**kwargs):
@@ -195,6 +199,121 @@ class TestCorruptionTolerance:
         assert (tmp_path / "fresh").is_dir()
 
 
+def lines_on_disk(cache):
+    return cache.path.read_text().splitlines() if cache.path.exists() else []
+
+
+class TestDeferredSpan:
+    def test_buffered_lines_are_not_on_disk_before_flush(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        with cache.deferred():
+            for i in range(3):
+                cache.put("sig", (i,), float(i), "ok")
+            # Reads in this process hit at once ...
+            assert cache.get("sig", (2,)) == (2.0, "ok")
+            assert len(cache) == 3
+            # ... but nothing is durable yet.
+            assert lines_on_disk(cache) == []
+            assert len(EvalCache(tmp_path)) == 0
+            cache.flush()
+            assert len(lines_on_disk(cache)) == 3
+            cache.put("sig", (3,), 3.0, "ok")
+            assert len(lines_on_disk(cache)) == 3
+        # Leaving the span normally flushes the rest.
+        assert len(lines_on_disk(cache)) == 4
+
+    def test_raising_span_rolls_back_to_the_last_flush(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        cache.put("sig", (0,), 0.0, "ok")
+        with pytest.raises(MeasureKilled):
+            with cache.deferred():
+                cache.put("sig", (1,), 1.0, "ok")
+                cache.flush()
+                committed = lines_on_disk(cache)
+                cache.put("sig", (2,), 2.0, "ok")
+                cache.put("sig", (3,), 0.0, "compile_error")
+                raise MeasureKilled
+        assert lines_on_disk(cache) == committed
+        assert len(cache) == 2
+        assert cache.stores == 2
+        assert cache.get("sig", (2,)) is None
+        assert cache.get("sig", (1,)) == (1.0, "ok")
+        # The rolled-back keys are stored again on the next put.
+        cache.put("sig", (2,), 2.0, "ok")
+        assert len(lines_on_disk(cache)) == 3
+
+    def test_flushed_lines_survive_a_process_restart(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        with cache.deferred():
+            cache.put("sig", (3, 1, 4), 2.5, "ok")
+            cache.put("sig", (2, 7), 0.0, "compile_error")
+            cache.flush()
+            cache.put("sig", (9,), 1.0, "ok")
+            # What a kill at this instant leaves behind:
+            restarted = EvalCache(tmp_path)
+        assert restarted.get("sig", (3, 1, 4)) == (2.5, "ok")
+        assert restarted.get("sig", (2, 7)) == (0.0, "compile_error")
+        assert restarted.get("sig", (9,)) is None
+        assert len(restarted) == 2
+
+    def test_memory_only_cache_rolls_back_too(self):
+        cache = EvalCache(None)
+        with pytest.raises(MeasureKilled):
+            with cache.deferred():
+                cache.put("sig", (1,), 1.0, "ok")
+                raise MeasureKilled
+        assert cache.get("sig", (1,)) is None
+
+
+class TestTunerCommitPoints:
+    def tune(self, cache, trials, checkpoint, resume=False):
+        tuner = FlexTensorTuner(
+            Evaluator(conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="c"),
+                      V100, eval_cache=cache),
+            seed=5,
+        )
+        return tuner.tune(trials, checkpoint=checkpoint, checkpoint_every=2,
+                          resume=resume)
+
+    def test_cache_is_durable_at_every_snapshot(self, tmp_path, monkeypatch):
+        cache = EvalCache(tmp_path / "cache")
+        on_disk = []
+        real_save = tuner_module.save_checkpoint
+
+        def save(path, snapshot, *args, **kwargs):
+            # Every entry the snapshot's evaluator measured is on disk.
+            on_disk.append((len(lines_on_disk(cache)), len(cache)))
+            return real_save(path, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "save_checkpoint", save)
+        self.tune(cache, 5, tmp_path / "t.ckpt")
+        assert len(on_disk) == 3                      # trials 2, 4 and 5
+        assert all(lines == entries for lines, entries in on_disk)
+        assert on_disk[0][0] < on_disk[-1][0]
+
+    @pytest.mark.parametrize("measurements", [1, 9])
+    def test_kill_between_snapshots_resumes_with_exact_billing(
+        self, tmp_path, monkeypatch, measurements
+    ):
+        reference = self.tune(EvalCache(tmp_path / "ref"), 5, tmp_path / "ref.ckpt")
+
+        cache_dir, checkpoint = tmp_path / "cache", tmp_path / "t.ckpt"
+        self.tune(EvalCache(cache_dir), 2, checkpoint)
+        committed = len(EvalCache(cache_dir))
+        patch_measure_kill(monkeypatch)(measurements)
+        cache = EvalCache(cache_dir)
+        with pytest.raises(MeasureKilled):
+            self.tune(cache, 5, checkpoint, resume=True)
+        assert len(EvalCache(cache_dir)) == committed
+        assert len(cache) == committed
+
+        resumed = self.tune(EvalCache(cache_dir), 5, checkpoint, resume=True)
+        assert resumed.num_measurements == reference.num_measurements
+        assert resumed.exploration_seconds == reference.exploration_seconds
+        assert resumed.curve == reference.curve
+        assert resumed.best_point == reference.best_point
+
+
 class TestWorkersOneDeterminismWithCache:
     def test_cold_cache_runs_are_deterministic(self, tmp_path):
         # Attaching a cold persistent cache changes *accounting*
@@ -238,6 +357,15 @@ def _append_cache_entries(directory, process_tag, count):
         cache.put(f"sig-{process_tag}", (process_tag, i), float(i), "ok")
 
 
+def _append_deferred_entries(directory, process_tag, count):
+    cache = EvalCache(directory)
+    with cache.deferred():
+        for i in range(count):
+            cache.put(f"sig-{process_tag}", (process_tag, i), float(i), "ok")
+            if i % 7 == 6:
+                cache.flush()
+
+
 def _append_locked_pairs(path, process_tag, count):
     # Two separate write() calls inside one lock hold: without the
     # advisory flock these could interleave with another process's pair.
@@ -278,6 +406,21 @@ class TestConcurrentWriters:
         )
         # Every line parses and every entry from both writers survived.
         merged = EvalCache(tmp_path)
+        assert len(merged) == 200
+        for tag in (1, 2):
+            for i in range(100):
+                assert merged.get(f"sig-{tag}", (tag, i)) == (float(i), "ok")
+
+    def test_two_processes_flush_deferred_spans_cleanly(self, tmp_path):
+        self.spawn(
+            _append_deferred_entries, [(tmp_path, 1, 100), (tmp_path, 2, 100)]
+        )
+        # One flush writes several lines at once; the lock keeps each
+        # batch whole, so every line parses and every entry survived.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = EvalCache(tmp_path)
+        assert len(merged.path.read_text().splitlines()) == 200
         assert len(merged) == 200
         for tag in (1, 2):
             for i in range(100):

@@ -24,6 +24,8 @@ from repro.nn.tuner import TuneTask
 from repro.ops.workloads import Workload
 from repro.runtime import RecordBook
 
+from .kills import MeasureKilled, patch_measure_kill
+
 DEVICE = XEON_E5_2699V4
 
 
@@ -131,6 +133,39 @@ class TestKillResumeParity:
                 run(tmp_path, chaos=NetworkChaos(kill_after_slices=1))
             except Exception:  # noqa: BLE001 - the point of the test
                 pytest.fail("NetworkKilled must not be an Exception")
+
+
+class TestKillInsideSlice:
+    @pytest.mark.parametrize("tune_call, measurements", [
+        (2, 1), (2, 40), (3, 5), (5, 20),
+    ])
+    def test_resume_bills_exactly_what_an_uninterrupted_run_bills(
+        self, tmp_path, monkeypatch, tune_call, measurements
+    ):
+        """The ``tune_call``-th slice dies after ``measurements`` fresh
+        measurements.  The eval-cache entries it measured die with its
+        tuner state, so the re-run slice measures and bills them again."""
+        reference = run(tmp_path / "ref")
+        arm = patch_measure_kill(monkeypatch)
+        calls = [0]
+        real_tune = explore_tuner.BaseTuner.tune
+
+        def tune(self, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == tune_call:
+                arm(measurements)
+            try:
+                return real_tune(self, *args, **kwargs)
+            finally:
+                arm(None)
+
+        monkeypatch.setattr(explore_tuner.BaseTuner, "tune", tune)
+        with pytest.raises(MeasureKilled):
+            run(tmp_path / "chaos")
+        resumed = run(tmp_path / "chaos", resume=True)
+        assert resumed.total_measurements == reference.total_measurements
+        assert resumed.exploration_seconds == reference.exploration_seconds
+        assert resumed.state_digest() == reference.state_digest()
 
 
 class TestSliceCommitCadence:

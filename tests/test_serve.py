@@ -35,6 +35,8 @@ from repro.serve import (
     TuningService,
 )
 
+from .kills import MeasureKilled, patch_measure_kill
+
 pytestmark = pytest.mark.serve
 
 GEMM = {"n": 8, "k": 8, "m": 8}
@@ -139,6 +141,49 @@ def test_daemon_kill_recovery_is_bit_identical(tmp_path, chaos):
     assert restarted.recovered_jobs  # something really was mid-flight
     restarted.run()
     assert outcomes(restarted) == expected
+
+
+@pytest.mark.parametrize("slice_index, measurements", [
+    (1, 1), (1, 40), (3, 6), (5, 50),
+])
+def test_kill_inside_a_slice_resumes_with_exact_billing(
+    tmp_path, monkeypatch, slice_index, measurements
+):
+    """The daemon dies inside slice ``slice_index``, after
+    ``measurements`` fresh measurements.  The cache entries of the
+    unfinished trial die with it, so the restarted service measures and
+    bills them again: every job ends exactly as in an uninterrupted run,
+    billing included."""
+    config = ServeConfig(slice_trials=2)
+    reference = TuningService(tmp_path / "ref", config)
+    submit_mixed(reference)
+    reference.run()
+
+    arm = patch_measure_kill(monkeypatch)
+    slices = [0]
+    real_run_slice = TuningService._run_slice
+
+    def run_slice(self, job):
+        if slices[0] == slice_index:
+            arm(measurements)
+        slices[0] += 1
+        try:
+            return real_run_slice(self, job)
+        finally:
+            arm(None)
+
+    monkeypatch.setattr(TuningService, "_run_slice", run_slice)
+    doomed = TuningService(tmp_path / "chaos", config)
+    submit_mixed(doomed)
+    with pytest.raises(MeasureKilled):
+        doomed.run()
+    restarted = TuningService(tmp_path / "chaos", config)
+    assert restarted.recovered_jobs
+    restarted.run()
+    assert outcomes(restarted) == outcomes(reference)
+    assert {
+        job.job_id: job.sim_seconds for job in restarted.store.jobs.values()
+    } == {job.job_id: job.sim_seconds for job in reference.store.jobs.values()}
 
 
 def test_sigkill_mid_run_recovers_to_reference_best(tmp_path):
