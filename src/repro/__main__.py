@@ -288,6 +288,7 @@ def lint_smoke(args) -> int:
         "src/repro/analysis", "src/repro/schedule",
         "src/repro/learn", "src/repro/explore/surrogate.py",
         "src/repro/ir", "src/repro/model",
+        "src/repro/runtime/appendlog.py", "src/repro/runtime/locking.py",
     ]
     for tool, cmd in (
         ("ruff", ["ruff", "check", *lint_paths]),

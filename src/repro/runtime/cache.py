@@ -9,8 +9,9 @@ processes and are shared by every tuner and ``tune_workload()``.
 Entries record the final :class:`MeasureStatus` alongside the
 performance value, so *permanent* failures (compile errors, lowering
 errors, timeouts) are cached too and never re-measured on a warm run.
-Like the PR-1 :class:`RecordBook`, a file truncated mid-append (killed
-process) or hand-corrupted loses only the bad lines, never the cache.
+The file is an :class:`~repro.runtime.appendlog.AppendLog`: a line torn
+by a killed process or corrupted on disk loses only itself, never the
+cache.
 
 Durability follows the caller's commit points.  Outside a
 :meth:`EvalCache.deferred` span every ``put`` appends one fsync'd line.
@@ -23,15 +24,12 @@ resumed run measures (and bills) them again as an uninterrupted run did.
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .locking import locked
+from .appendlog import NO_LOAD_STATS, AppendLog
 
 #: On-disk format version; bump when the entry layout changes.
 EVALCACHE_VERSION = 1
@@ -47,10 +45,9 @@ class EvalCache:
     ``(performance, status_value)``.  ``op_signature`` is produced by the
     evaluator and encodes operator structure, shapes, target and device,
     so one directory can safely serve many workloads.  Outside a
-    :meth:`deferred` span, writes append one fsync'd JSONL line (a crash
-    loses at most the line being written, which the loader then skips);
-    inside one they are buffered until :meth:`flush`.  Reads hit the LRU
-    first and fall back to the disk-loaded index.
+    :meth:`deferred` span, writes append one fsync'd line; inside one
+    they are buffered until :meth:`flush`.  Reads hit the LRU first and
+    fall back to the disk-loaded index.
     """
 
     def __init__(
@@ -69,68 +66,23 @@ class EvalCache:
         # Entries stored since the last flush of the open deferred span
         # (None: no span open, every put is durable at once).
         self._pending: Optional[List[Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]]] = None
+        self._log: Optional[AppendLog] = None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
+            self._log = AppendLog(self.cache_dir / EVALCACHE_FILENAME, "cache entry")
+            self._disk.update(self._log.replay(_parse_entry))
 
     @property
     def path(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / EVALCACHE_FILENAME
-
-    # -- persistence -------------------------------------------------------
-
-    def _load(self) -> None:
-        path = self.path
-        if path is None or not path.exists():
-            return
-        for key, value in self._read_all(path):
-            self._disk[key] = value
-
-    @staticmethod
-    def _read_all(path: Path) -> Iterator[Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]]:
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                if payload.get("v", EVALCACHE_VERSION) != EVALCACHE_VERSION:
-                    raise ValueError("version mismatch")
-                key = (payload["sig"], tuple(int(x) for x in payload["point"]))
-                value = (float(payload["perf"]), str(payload["status"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # Mirror RecordBook: a truncated or hand-edited line must
-                # never take the whole cache down.
-                warnings.warn(f"skipping corrupt cache entry at {path}:{lineno}")
-                continue
-            yield key, value
+        return self._log.path if self._log is not None else None
 
     def _append(self, entries) -> None:
-        """Append ``(key, value)`` entries as JSONL lines: one lock hold,
-        one fsync."""
-        path = self.path
-        if path is None or not entries:
-            return
-        text = "".join(
-            json.dumps({
-                "v": EVALCACHE_VERSION,
-                "sig": signature,
-                "point": list(point),
-                "perf": perf,
-                "status": status,
-            }) + "\n"
-            for (signature, point), (perf, status) in entries
-        )
-        # Open-per-append: worker processes forked mid-run never share a
-        # stale file-descriptor offset with the parent.  The flock keeps
-        # appends from separate tuner processes sharing one cache dir
-        # whole-line atomic even where write() interleaving is possible.
-        with open(path, "a") as f, locked(f):
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
+        if self._log is not None:
+            self._log.append(
+                {"v": EVALCACHE_VERSION, "sig": signature, "point": list(point),
+                 "perf": perf, "status": status}
+                for (signature, point), (perf, status) in entries
+            )
 
     @contextmanager
     def deferred(self) -> Iterator[None]:
@@ -220,7 +172,7 @@ class EvalCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, float]:
-        """Counters for the throughput report."""
+        """Counters for the throughput report, with the file's load stats."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -228,4 +180,12 @@ class EvalCache:
             "stores": self.stores,
             "hit_rate": self.hit_rate,
             "entries": len(self),
+            **(self._log.stats() if self._log is not None else NO_LOAD_STATS),
         }
+
+
+def _parse_entry(payload: Dict) -> Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]:
+    if payload.get("v", EVALCACHE_VERSION) != EVALCACHE_VERSION:
+        raise ValueError("version mismatch")
+    key = (payload["sig"], tuple(int(x) for x in payload["point"]))
+    return key, (float(payload["perf"]), str(payload["status"]))

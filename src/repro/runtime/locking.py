@@ -1,16 +1,10 @@
 """Advisory file locking for multi-process JSONL appends.
 
-Several tuner processes may share one ``--cache-dir`` (the persistent
-:class:`~repro.runtime.cache.EvalCache`) or one record book.  A single
-``write()`` of a short line is atomic on most POSIX filesystems, but
-that is an implementation detail, not a guarantee — NFS and long lines
-can interleave partial writes.  ``locked()`` takes an exclusive
-``fcntl.flock`` on the open file for the duration of the append, so
-concurrent writers serialize line-at-a-time and a reader never sees two
-half-lines spliced together.
-
-On platforms without ``fcntl`` (Windows) the lock degrades to a no-op:
-appends fall back to the previous single-write behaviour.
+Several processes may append to one file (a shared ``--cache-dir``, a
+record book, a job log).  A single ``write()`` of a short line is atomic
+on most POSIX filesystems, but NFS and long lines can interleave partial
+writes; ``locked()`` serializes the writers instead.  Without ``fcntl``
+(Windows) the lock is a no-op.
 """
 
 from __future__ import annotations
@@ -26,12 +20,12 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 @contextlib.contextmanager
 def locked(handle: IO) -> Iterator[IO]:
-    """Hold an exclusive advisory lock on an open file for the block.
+    """Hold an exclusive ``flock`` on an open file for the block.
 
-    The lock is tied to the file description, so it is released even if
-    the process dies mid-append — the crashed writer can truncate its
-    own line (which the JSONL loaders already skip) but can never leave
-    the file locked or splice into another writer's line.
+    The lock belongs to the file description, so a writer that dies
+    mid-append releases it: it can tear its own line (which
+    :class:`~repro.runtime.appendlog.AppendLog` replay skips) but never
+    leave the file locked or splice into another writer's line.
     """
     if fcntl is None:
         yield handle

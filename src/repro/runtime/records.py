@@ -4,21 +4,21 @@ Tuning costs minutes; its artifact — the best configuration per
 (operator, shape, device) — is a few hundred bytes.  A :class:`RecordBook`
 appends every finished tuning run to a JSONL file and serves the best
 known configuration back, so repeated runs warm-start instead of
-re-searching (the deployment mode TVM calls a "tophub" package).
+re-searching (the deployment mode TVM calls a "tophub" package).  The
+file is an :class:`~repro.runtime.appendlog.AppendLog`, so a torn or
+corrupt line loses only itself.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..schedule import NodeConfig
 from ..utils.serialization import config_from_dict, config_to_dict
-from .locking import locked
+from .appendlog import NO_LOAD_STATS, AppendLog
 
 
 def workload_key(operator: str, params: Dict, device: str) -> str:
@@ -66,6 +66,9 @@ class TuningRecord:
 
     def to_json(self) -> str:
         """Serialize the record as one JSONL line."""
+        return json.dumps(self.to_dict())
+
+    def to_dict(self) -> Dict:
         payload = {
             "key": self.key,
             "config": config_to_dict(self.config),
@@ -75,12 +78,15 @@ class TuningRecord:
         }
         if self.signature:
             payload["signature"] = self.signature
-        return json.dumps(payload)
+        return payload
 
     @classmethod
     def from_json(cls, line: str) -> "TuningRecord":
         """Parse a record from a JSONL line."""
-        payload = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "TuningRecord":
         return cls(
             key=payload["key"],
             config=config_from_dict(payload["config"]),
@@ -96,31 +102,15 @@ class RecordBook:
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.path = Path(path) if path else None
+        self._log = AppendLog(self.path, "record") if self.path else None
         self._best: Dict[str, TuningRecord] = {}
         # O(1) best-schedule index keyed by structural operator signature
         # (rebuilt on load, maintained on append): the high-QPS lookup
         # path of ``repro.serve`` never scans the JSONL file per query.
         self._best_by_signature: Dict[str, TuningRecord] = {}
-        if self.path and self.path.exists():
-            for record in self._read_all():
+        if self._log is not None:
+            for record in self._log.replay(_parse_record):
                 self._consider(record)
-
-    def _read_all(self) -> Iterator[TuningRecord]:
-        for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if json.loads(line).get("type") is not None:
-                    continue  # typed side-channel line (e.g. metrics)
-            except json.JSONDecodeError:
-                pass  # fall through to the record parser's warning
-            try:
-                yield TuningRecord.from_json(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # A record file truncated mid-append (killed process) or
-                # hand-edited must not take the whole book down.
-                warnings.warn(f"skipping corrupt record at {self.path}:{lineno}")
 
     def _consider(self, record: TuningRecord) -> bool:
         improved = False
@@ -139,15 +129,8 @@ class RecordBook:
     def add(self, record: TuningRecord) -> None:
         """Append a record (and persist it if a path is configured)."""
         self._consider(record)
-        if self.path:
-            # Single write + flush + fsync: the line is on disk (or not at
-            # all) before add() returns, so a crash can truncate at most
-            # the line being appended — which _read_all then skips.  The
-            # flock serializes concurrent writer processes line-at-a-time.
-            with open(self.path, "a") as f, locked(f):
-                f.write(record.to_json() + "\n")
-                f.flush()
-                os.fsync(f.fileno())
+        if self._log is not None:
+            self._log.append([record.to_dict()])
 
     def add_metrics(self, payload: Dict) -> None:
         """Append a throughput/metrics side-channel line.
@@ -155,30 +138,18 @@ class RecordBook:
         Metrics ride in the same JSONL file tagged ``"type": "metrics"``;
         record loading skips typed lines, so old readers are unaffected.
         """
-        if not self.path:
-            return
-        line = json.dumps({"type": "metrics", **payload})
-        with open(self.path, "a") as f, locked(f):
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        if self._log is not None:
+            self._log.append([{"type": "metrics", **payload}])
 
     def metrics(self) -> List[Dict]:
         """All metrics lines in append order (empty without a path)."""
-        if not self.path or not self.path.exists():
+        if self._log is None:
             return []
-        found = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict) and payload.get("type") == "metrics":
-                found.append(payload)
-        return found
+        return list(self._log.replay(lambda p: p if p.get("type") == "metrics" else None))
+
+    def load_stats(self) -> Dict[str, int]:
+        """Load stats of the book's last file replay (zeros without a path)."""
+        return self._log.stats() if self._log is not None else dict(NO_LOAD_STATS)
 
     def best(self, key: str) -> Optional[TuningRecord]:
         """Best known record for a workload key, or None."""
@@ -208,3 +179,8 @@ class RecordBook:
 
     def __contains__(self, key: str) -> bool:
         return key in self._best
+
+
+def _parse_record(payload: Dict) -> Optional[TuningRecord]:
+    # Typed lines (e.g. metrics) are side-channel data, not records.
+    return TuningRecord.from_dict(payload) if payload.get("type") is None else None

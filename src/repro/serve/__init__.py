@@ -5,8 +5,8 @@ tuning-as-a-service: many tenants submit tuning jobs against one shared
 worker pool, EvalCache and RecordBook, and the service guarantees that
 **no crash, overload, or poisoned job can lose work or wedge it**:
 
-* :class:`JobStore` — an append-only JSONL write-ahead log (behind the
-  ``runtime/locking.py`` fcntl locks) recording every job state
+* :class:`JobStore` — an append-only JSONL write-ahead log (an
+  :class:`~repro.runtime.appendlog.AppendLog`) recording every job state
   transition, so a ``kill -9``'d daemon recovers by replaying the log
   and resuming each in-flight job from its atomic checkpoint.
 * :class:`Scheduler` — deterministic per-tenant fair share (virtual

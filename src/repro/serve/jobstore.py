@@ -1,10 +1,9 @@
 """Crash-safe job store: an append-only JSONL write-ahead log.
 
-Every job state transition is one fsync'd JSONL line appended under the
-``runtime/locking.py`` fcntl lock, so the log is the single source of
-truth for the service: a daemon killed at any instant loses at most the
-line being appended (which replay then skips, exactly like the
-:class:`~repro.runtime.RecordBook` and the EvalCache), and a restarted
+Every job state transition is one fsync'd line appended to an
+:class:`~repro.runtime.appendlog.AppendLog`, so the log is the single
+source of truth for the service: a daemon killed at any instant loses at
+most the line being appended (which replay then skips), and a restarted
 daemon rebuilds every job — including the ones that were mid-flight —
 by replaying the log front to back.
 
@@ -28,14 +27,11 @@ records a transition the machine forbids.
 from __future__ import annotations
 
 import enum
-import json
-import os
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..runtime.locking import locked
+from ..runtime.appendlog import AppendLog
 
 #: On-disk format version; bump when the event layout changes.
 JOBSTORE_VERSION = 1
@@ -164,6 +160,7 @@ class JobStore:
         self.clock = 0.0                     # newest clock seen in the log
         self.next_seq = 1                    # job-id counter (persistent)
         self._events = 0
+        self._log = AppendLog(self.path, "job event")
         self.replay()
 
     @property
@@ -213,29 +210,19 @@ class JobStore:
 
     def note(self, kind: str, clock: float, **payload) -> None:
         """Append a service-level event (drain, shutdown, recover, ...)."""
-        self._append_line({
+        self._log.append([{
             "v": JOBSTORE_VERSION, "type": "serve-event", "kind": kind,
             "clock": clock, **payload,
-        })
+        }])
         self.clock = max(self.clock, clock)
 
     def _append_event(self, job: Job, clock: float) -> None:
         self._events += 1
-        self._append_line({
+        self._log.append([{
             "v": JOBSTORE_VERSION, "type": "job-event", "event": self._events,
             "clock": clock, "job": job.to_dict(),
-        })
+        }])
         self.clock = max(self.clock, clock)
-
-    def _append_line(self, payload: Dict) -> None:
-        # Single write + flush + fsync under the flock: the event is on
-        # disk whole (or not at all) before the call returns, and writers
-        # from separate daemon processes serialize line-at-a-time.
-        line = json.dumps(payload)
-        with open(self.path, "a") as f, locked(f):
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
 
     # -- replay ------------------------------------------------------------
 
@@ -243,39 +230,20 @@ class JobStore:
         """Rebuild the job table from the log (last event per job wins).
 
         Corrupt or truncated lines — the tail a ``kill -9`` can leave —
-        are skipped with a warning, mirroring every other JSONL loader
-        in the runtime; the affected job falls back to its previous
-        durable transition and its checkpoint.
+        are skipped with a warning by the :class:`AppendLog`; the affected
+        job falls back to its previous durable transition and its
+        checkpoint.
         """
         self.jobs = {}
         self.clock = 0.0
         self._events = 0
-        if not self.path.exists():
-            return self.jobs, self.clock
-        for lineno, line in enumerate(self.path.read_text(errors="replace").splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("non-object line")
-                kind = payload.get("type")
-                if kind == "serve-event":
-                    self.clock = max(self.clock, float(payload.get("clock", 0.0)))
-                    continue
-                if kind != "job-event":
-                    continue  # typed side-channel line from a newer writer
-                job = Job.from_dict(payload["job"])
-                self.clock = max(self.clock, float(payload.get("clock", 0.0)))
-                self._events = max(self._events, int(payload.get("event", 0)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                warnings.warn(f"skipping corrupt job event at {self.path}:{lineno}")
-                continue
-            # Reassigning an existing key keeps its original dict position,
-            # so the table stays in first-seen (submission) order — the
-            # deterministic tie-break the scheduler relies on.
-            self.jobs[job.job_id] = job
+        for clock, event, job in self._log.replay(_parse_event):
+            self.clock = max(self.clock, clock)
+            self._events = max(self._events, event)
+            if job is not None:
+                # Reassigning a key keeps its dict position: the table stays
+                # in first-seen (submission) order, the scheduler's tie-break.
+                self.jobs[job.job_id] = job
         self.next_seq = 1 + max(
             (self._seq_of(job_id) for job_id in self.jobs), default=0
         )
@@ -306,3 +274,18 @@ class JobStore:
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    def load_stats(self) -> Dict[str, int]:
+        """Load stats of the last :meth:`replay`."""
+        return self._log.stats()
+
+
+def _parse_event(payload: Dict) -> Optional[Tuple[float, int, Optional[Job]]]:
+    """``(clock, event, job)`` of a line; None for a newer writer's type."""
+    kind = payload.get("type")
+    if kind == "serve-event":
+        return float(payload.get("clock", 0.0)), 0, None
+    if kind != "job-event":
+        return None
+    job = Job.from_dict(payload["job"])
+    return float(payload.get("clock", 0.0)), int(payload.get("event", 0)), job
