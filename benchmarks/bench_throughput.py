@@ -6,9 +6,9 @@ Not a pytest test — run it directly after a change to the runtime:
 
 For gemm and conv2d it tunes the same workload twice — serial
 (``workers=1``, the bit-exact pre-engine path) and pooled
-(``workers=4``) — and reports points per *simulated* second (the
-measurement-clock quantity Figures 6d/7 account in) plus points per
-wall second.  A third pass runs a cold/warm pair against a persistent
+(``workers=4`` virtual workers billed by batch makespan) — and reports
+points per *simulated* second (the measurement-clock quantity Figures
+6d/7 account in) plus points per wall second.  A third pass runs a cold/warm pair against a persistent
 ``EvalCache`` directory to measure the warm-start hit rate.
 
 A fourth pass benchmarks surrogate screening (ISSUE #4): the same
@@ -31,14 +31,6 @@ the acceptance booleans:
 * (ISSUE #8) tuning the int8 GEMM with the ``tensorize`` knob finds a
   tensorized best schedule whose modeled GFLOPS strictly beats the same
   search with the knob off.
-
-Each section reports the *actual* engine mode — ``serial``,
-``fork-pool``, or ``in-process-fallback``.  On a single-core host the
-engine transparently computes outcomes in-process while still billing
-the 4-worker makespan, so the simulated numbers are identical to what a
-real fork pool produces (the engine's determinism contract); wall
-numbers then mostly reflect interpreter overhead and are reported for
-context only.
 
 ``--quick`` runs only the screening section (the hot-path criteria),
 writes ``BENCH_throughput_quick.json`` instead of the full file, and
@@ -127,13 +119,12 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
 
 def trimmed(stats):
     keys = (
-        "workers", "engine_mode", "pool", "pool_mode", "pool_batches",
-        "points_submitted", "points_measured",
+        "workers", "points_submitted", "points_measured",
         "points_cached", "points_deduped", "points_screened",
         "simulated_seconds", "points_per_simulated_second",
-        "points_per_wall_second", "pool_utilization", "cache_hit_rate",
+        "points_per_wall_second", "utilization", "cache_hit_rate",
         "total_wall_seconds", "best_gflops", "real_measurements",
-        "surrogate", "lowering", "profile",
+        "surrogate", "lowering",
     )
     return {k: stats[k] for k in keys if k in stats}
 
@@ -176,7 +167,7 @@ def main(quick: bool = False) -> int:
         print(
             f"  pooled : {pooled['points_per_simulated_second']:8.2f} pts/sim-s"
             f"  ({pooled['points_per_wall_second']:.0f} pts/wall-s,"
-            f" utilization {pooled['pool_utilization']:.0%})"
+            f" utilization {pooled['utilization']:.0%})"
         )
         print(f"  speedup: {speedup_sim:.2f}x simulated, {speedup_wall:.2f}x wall")
 
@@ -245,7 +236,7 @@ def main(quick: bool = False) -> int:
         print(
             f"  off: {off['best_gflops']:6.1f} GFLOPS @ "
             f"{off['real_measurements']} measurements "
-            f"[{off['engine_mode']}, {off['points_per_wall_second']:.0f} pts/wall-s, "
+            f"[{off['points_per_wall_second']:.0f} pts/wall-s, "
             f"{hotpath[name]['off']:.1f}x prior]"
         )
         print(
@@ -253,22 +244,9 @@ def main(quick: bool = False) -> int:
             f"{on['real_measurements']} measurements "
             f"({on.get('points_screened', 0)} screened out, "
             f"{savings:.1f}x fewer measurements) "
-            f"[{on['engine_mode']}, {on['points_per_wall_second']:.0f} pts/wall-s, "
+            f"[{on['points_per_wall_second']:.0f} pts/wall-s, "
             f"{hotpath[name]['on']:.1f}x prior]"
         )
-        profile = on.get("profile") or {}
-        spent = {k: v["seconds"] for k, v in profile.items() if v["calls"]}
-        if spent:
-            print(
-                "  hot path (screening on): "
-                + " ".join(f"{k}={v:.3f}s" for k, v in spent.items())
-                + (
-                    f"  lowering memo hit_rate="
-                    f"{on['lowering']['hit_rate']:.0%}"
-                    if on.get("lowering")
-                    else ""
-                )
-            )
 
     # Intrinsic tensorization (ISSUE #8): same trials and seed on the
     # int8 GEMM, tensorize knob on vs off.  The knob-on search must end

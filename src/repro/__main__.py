@@ -676,7 +676,7 @@ def selfcheck(args) -> int:
             t = result.tuning.throughput
             print(f"{'':>13}  {t['points_per_simulated_second']:.1f} pts/s simulated, "
                   f"cache hit rate {t['cache_hit_rate']:.0%}, "
-                  f"utilization {t['pool_utilization']:.0%}")
+                  f"utilization {t['utilization']:.0%}")
     print("selfcheck " + ("passed" if failures == 0 else f"FAILED ({failures} tuners)"))
     return 1 if failures else 0
 
@@ -777,7 +777,7 @@ def main(argv=None) -> int:
             f"simulated ({throughput['points_per_wall_second']:.1f} pts/s wall), "
             f"cache hit rate {throughput['cache_hit_rate']:.0%}, "
             f"workers={throughput['workers']}, "
-            f"utilization {throughput['pool_utilization']:.0%}"
+            f"utilization {throughput['utilization']:.0%}"
         )
     if args.show_code:
         print()

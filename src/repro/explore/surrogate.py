@@ -20,7 +20,7 @@ is reproducible and checkpoint/resume roundtrips through
 
 The full measure pipeline with every stage enabled is::
 
-    lint gate -> cache probe -> surrogate screen -> (fork pool) measure
+    lint gate -> cache probe -> surrogate screen -> measure
 
 See ``docs/surrogate.md``.
 """
@@ -28,7 +28,6 @@ See ``docs/surrogate.md``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -111,12 +110,6 @@ class SurrogateScreen:
             the early search keeps a fresh model.  A pure function of
             checkpointed fields (observation count and ``fitted_at``),
             so seeded runs and kill+resume are bit-identical.
-        train_window: training-window policy.  0 (the default) refits on
-            the full history; a positive value refits on only the most
-            recent ``train_window`` observations — a deterministic slice
-            by observation order, so checkpointed resumes still fit on
-            exactly the same rows.  Screening dedup and counters always
-            see the full history either way.
         seed: seed of the private ε-draw RNG.
         inference_seconds: simulated cost billed per ranked candidate.
         window: size of the rolling score window used to screen batches
@@ -135,7 +128,6 @@ class SurrogateScreen:
         seed: int = 0,
         inference_seconds: float = INFERENCE_SECONDS,
         window: int = 64,
-        train_window: int = 0,
     ):
         if not 0.0 < screen_ratio <= 1.0:
             raise ValueError(f"screen_ratio must be in (0, 1], got {screen_ratio}")
@@ -146,7 +138,6 @@ class SurrogateScreen:
         self.refit_every = max(1, int(refit_every))
         self.inference_seconds = inference_seconds
         self.window = max(8, int(window))
-        self.train_window = max(0, int(train_window))
         self._recent_scores: List[float] = []
         self.model = GradientBoostedTrees()
         self._rng = np.random.default_rng(seed)
@@ -165,15 +156,8 @@ class SurrogateScreen:
         self.quality = _QualityStats()
         self._quality_pairs: List[Tuple[float, float]] = []
         # Hot path (ISSUE #7): vectorized featurization of whole batches
-        # (bit-identical to the scalar path) and optional per-stage wall
-        # profiling.  The profiler is wired by the batch engine so the
-        # surrogate's stages land in the same TuneResult profile as the
-        # evaluator's.
+        # (bit-identical to the scalar path).
         self.use_batch_features = True
-        self.profiler = None
-
-    def _section(self, name: str):
-        return self.profiler.section(name) if self.profiler is not None else nullcontext()
 
     # -- featurization -----------------------------------------------------
 
@@ -221,8 +205,7 @@ class SurrogateScreen:
             self._ys[index] = float(performance)
             return
         self._seen[point] = len(self._ys)
-        with self._section("features"):
-            self._xs.append(self.features(point))
+        self._xs.append(self.features(point))
         self._ys.append(float(performance))
         self.num_observations += 1
         self._maybe_refit()
@@ -249,19 +232,13 @@ class SurrogateScreen:
         self.refit()
 
     def refit(self) -> None:
-        """Refit the GBT on the training window (log1p target —
-        performance spans orders of magnitude and failures sit at 0).
-        ``train_window == 0`` means full history; otherwise the most
-        recent ``train_window`` observations, by observation order."""
+        """Refit the GBT on the full history (log1p target —
+        performance spans orders of magnitude and failures sit at 0)."""
         if not self._ys:
             return
-        with self._section("surrogate_fit"):
-            start = 0
-            if self.train_window and len(self._ys) > self.train_window:
-                start = len(self._ys) - self.train_window
-            x = np.stack(self._xs[start:])
-            y = np.log1p(np.asarray(self._ys[start:], dtype=np.float64))
-            self.model.fit(x, y)
+        x = np.stack(self._xs)
+        y = np.log1p(np.asarray(self._ys, dtype=np.float64))
+        self.model.fit(x, y)
         self._fitted_at = len(self._ys)
         self.num_refits += 1
 
@@ -270,10 +247,7 @@ class SurrogateScreen:
     def predict(self, points: Sequence[Point]) -> np.ndarray:
         """Model scores (log1p GFLOPS) for a list of points — one
         batched featurization and one vectorized ensemble walk."""
-        with self._section("features"):
-            x = self.features_matrix(points)
-        with self._section("surrogate_predict"):
-            return self.model.predict(x)
+        return self.model.predict(self.features_matrix(points))
 
     def screen(self, points: Sequence[Point]) -> ScreenDecision:
         """Partition a candidate batch into forward / screened-out.
@@ -424,7 +398,6 @@ class SurrogateScreen:
             "refit_every": self.refit_every,
             "inference_seconds": self.inference_seconds,
             "window": self.window,
-            "train_window": self.train_window,
             "recent_scores": list(self._recent_scores),
             "observations": [
                 [list(p), self._ys[i]] for p, i in self._seen.items()
@@ -454,7 +427,6 @@ class SurrogateScreen:
         self.refit_every = state["refit_every"]
         self.inference_seconds = state["inference_seconds"]
         self.window = state["window"]
-        self.train_window = state.get("train_window", 0)
         self._recent_scores = list(state["recent_scores"])
         self._xs = []
         self._ys = []

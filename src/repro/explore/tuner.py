@@ -46,7 +46,7 @@ class TuneResult:
     exploration_seconds: float     # simulated tuning wall-clock
     curve: List[Tuple[float, float]] = field(default_factory=list)
     status_counts: Dict[str, int] = field(default_factory=dict)
-    throughput: Optional[Dict] = None   # BatchEngine.stats() when one ran
+    throughput: Optional[Dict] = None   # BatchEngine.stats()
     lint_rejects: int = 0               # points statically rejected (zero cost)
     lint_rules: Dict[str, int] = field(default_factory=dict)  # rule -> fire count
     num_screened: int = 0               # points answered by the surrogate screen
@@ -54,8 +54,7 @@ class TuneResult:
     num_retries: int = 0                # measurement attempts beyond the first
     quarantine_hits: int = 0            # free lookups answered by quarantine
     num_quarantined: int = 0            # points in quarantine at the end
-    lowering: Optional[Dict] = None     # LoweringMemo.stats() when memoizing
-    profile: Optional[Dict] = None      # HotPathProfiler.stats() (wall seconds)
+    lowering: Optional[Dict] = None     # LoweringMemo.stats()
 
     @property
     def found(self) -> bool:
@@ -101,14 +100,14 @@ class BaseTuner:
         # walks plus a fresh SA restart to escape the region.
         self.degrade_threshold = degrade_threshold
         # Batched evaluation engine (repro.runtime.parallel).  ``None``
-        # and ``workers=1`` both take the exact serial evaluation path;
+        # builds a ``workers=1`` engine, the exact serial evaluation path;
         # ``workers>1`` switches the tuners to their batched trial shapes.
-        self.engine = engine
+        self.engine = engine if engine is not None else BatchEngine(evaluator)
 
     @property
     def parallel(self) -> bool:
         """Whether trials should submit whole candidate batches."""
-        return self.engine is not None and self.engine.workers > 1
+        return self.engine.workers > 1
 
     # -- helpers -----------------------------------------------------------
 
@@ -116,17 +115,14 @@ class BaseTuner:
         return self._evaluate_batch([point])[0]
 
     def _evaluate_batch(self, points: List[Point]) -> List[float]:
-        """Evaluate candidates (through the engine when one is attached)
-        and fold them into the H set.  With no engine — or ``workers=1``
-        — this is byte-for-byte the pre-engine serial loop: evaluation
-        consumes no tuner RNG and H/visited updates commute with it, so
-        collect-then-batch trials stay bit-identical."""
+        """Evaluate candidates through the engine and fold them into the
+        H set.  With ``workers=1`` this is byte-for-byte the pre-engine
+        serial loop: evaluation consumes no tuner RNG and H/visited
+        updates commute with it, so collect-then-batch trials stay
+        bit-identical."""
         if not points:
             return []
-        if self.engine is not None:
-            performances = self.engine.evaluate_batch(points)
-        else:
-            performances = [self.evaluator.evaluate(p) for p in points]
+        performances = self.engine.evaluate_batch(points)
         for point, performance in zip(points, performances):
             self.evaluated[point] = performance
             self.visited.add(point)
@@ -163,12 +159,7 @@ class BaseTuner:
             num_retries=self.evaluator.num_retries,
             quarantine_hits=self.evaluator.num_quarantine_hits,
             num_quarantined=len(self.evaluator.quarantine),
-            lowering=(
-                self.evaluator.lowering_memo.stats()
-                if self.evaluator.lowering_memo is not None
-                else None
-            ),
-            profile=self.evaluator.profiler.stats(),
+            lowering=self.evaluator.lowering_memo.stats(),
         )
 
     # -- the tuning loop ---------------------------------------------------
@@ -228,15 +219,14 @@ class BaseTuner:
                         cache.flush()
                     save_checkpoint(checkpoint, self._snapshot(trial + 1))
         result = self._result()
-        if self.engine is not None:
-            # Engine counters are per-process, so after a resume they
-            # cover the resumed portion of the run only.
-            result.throughput = self.engine.stats()
-            if self.engine.surrogate is not None:
-                # Surrogate counters live in its (checkpointed) state, so
-                # they cover the whole run even across a resume.
-                result.surrogate = self.engine.surrogate.stats()
-                result.num_screened = self.engine.surrogate.num_screened
+        # Engine counters are per-process, so after a resume they cover
+        # the resumed portion of the run only.
+        result.throughput = self.engine.stats()
+        if self.engine.surrogate is not None:
+            # Surrogate counters live in its (checkpointed) state, so
+            # they cover the whole run even across a resume.
+            result.surrogate = self.engine.surrogate.stats()
+            result.num_screened = self.engine.surrogate.num_screened
         return result
 
     def _run_trial(self, trial: int) -> None:
@@ -275,7 +265,7 @@ class BaseTuner:
             "visited": [list(p) for p in sorted(self.visited)],
             "evaluator": self.evaluator.get_state(),
         }
-        if self.engine is not None and self.engine.surrogate is not None:
+        if self.engine.surrogate is not None:
             # The surrogate's training set, fitted trees, ε RNG and
             # counters checkpoint alongside the Q-network so a resumed
             # run makes bit-identical screening decisions.
@@ -288,11 +278,7 @@ class BaseTuner:
         self.evaluated = {tuple(p): perf for p, perf in state["evaluated"]}
         self.visited = {tuple(p) for p in state["visited"]}
         self.evaluator.set_state(state["evaluator"])
-        if (
-            self.engine is not None
-            and self.engine.surrogate is not None
-            and "surrogate" in state
-        ):
+        if self.engine.surrogate is not None and "surrogate" in state:
             self.engine.surrogate.set_state(state["surrogate"])
 
 

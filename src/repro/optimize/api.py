@@ -30,6 +30,7 @@ from ..runtime import (
     Evaluator,
     FaultInjector,
     MeasureConfig,
+    materialization_seconds,
 )
 from ..schedule import GraphConfig, NodeConfig, Scheduled, lower
 from ..space import ScheduleSpace, build_space
@@ -109,22 +110,6 @@ class OptimizeResult:
         return "\n".join(lines)
 
 
-def _materialization_seconds(graph, graph_config: GraphConfig, device_spec) -> float:
-    """Elementwise-pass cost of helper nodes the graph schedule left
-    un-inlined (mirrors the Evaluator's accounting)."""
-    main = graph.main_op
-    bandwidth = getattr(device_spec, "bandwidth_gbs", None)
-    if bandwidth is None:
-        bandwidth = getattr(device_spec, "ddr_bandwidth_gbs")
-    launch = getattr(device_spec, "kernel_launch_us", 5.0) * 1e-6
-    total = 0.0
-    for op in graph.compute_ops:
-        if op is main or graph_config.should_inline(op.name):
-            continue
-        total += op.output.size * 4 * 3 / (bandwidth * 1e9) + launch
-    return total
-
-
 def _schedule_for_graph(
     graph, config: NodeConfig, target: str, base: GraphConfig, evaluator: Evaluator
 ) -> GraphConfig:
@@ -147,7 +132,7 @@ def _schedule_for_graph(
             trial = GraphConfig(inline={**decisions, helper.name: inline})
             scheduled = lower(graph, config, target, trial)
             seconds = evaluator.model.estimate_seconds(scheduled)
-            seconds += _materialization_seconds(graph, trial, evaluator.device_spec)
+            seconds += materialization_seconds(graph, trial, evaluator.device_spec)
             candidates[inline] = seconds
         decisions[helper.name] = min(candidates, key=candidates.get)
     return GraphConfig(inline=decisions)
@@ -212,8 +197,8 @@ def optimize(
             continue the interrupted run from its trial index.
         workers: candidate evaluations per batch.  1 (default) keeps the
             bit-reproducible serial path; >1 overlaps simulated
-            measurement time across that many workers (and uses a real
-            process pool on multi-core hosts) — ``docs/parallel.md``.
+            measurement time across that many virtual workers —
+            ``docs/parallel.md``.
         cache_dir: directory of a persistent cross-run evaluation cache;
             warm runs serve previously measured (canonical) points for
             free.  ``None`` (default) disables persistence.
@@ -294,16 +279,13 @@ def optimize(
         seed_points=seed_points,
         engine=engine,
     )
-    try:
-        tuning = tuner.tune(
-            trials,
-            num_seeds=num_seeds,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-        )
-    finally:
-        engine.close()
+    tuning = tuner.tune(
+        trials,
+        num_seeds=num_seeds,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+    )
 
     # Schedule implementation for the chosen point (Algorithm 1, line 8:
     # Schedule_for_graph — decide the graph-level inline placements).
@@ -312,7 +294,7 @@ def optimize(
         graph_config = _schedule_for_graph(graph, config, target, graph_config, evaluator)
         scheduled = lower(graph, config, target, graph_config)
         kernel_seconds = evaluator.model.estimate_seconds(scheduled)
-        kernel_seconds += _materialization_seconds(graph, graph_config, device_spec)
+        kernel_seconds += materialization_seconds(graph, graph_config, device_spec)
         gflops = evaluator.flops / kernel_seconds / 1e9
     else:
         config = None

@@ -16,10 +16,10 @@ from .measure import (
     MeasureRecord,
     MeasureResult,
     MeasureStatus,
+    materialization_seconds,
     op_signature_of,
 )
 from .parallel import BatchEngine
-from .profile import HotPathProfiler
 from .records import RecordBook, TuningRecord, parse_workload_key, workload_key
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Evaluator",
     "Fault",
     "FaultInjector",
-    "HotPathProfiler",
     "InjectedCompileError",
     "InjectedHang",
     "InjectedRuntimeError",
@@ -41,6 +40,7 @@ __all__ = [
     "RecordBook",
     "TuningRecord",
     "load_checkpoint",
+    "materialization_seconds",
     "op_signature_of",
     "parse_workload_key",
     "save_checkpoint",

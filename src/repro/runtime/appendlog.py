@@ -5,10 +5,12 @@ write-ahead log each keep one JSON object per line, and
 :class:`AppendLog` is the only code that writes or replays them, so all
 four share one set of guarantees (``docs/robustness.md``):
 
-* :meth:`~AppendLog.append` opens the file per call (a forked worker
-  never shares a stale offset), holds the :func:`~.locking.locked` flock
-  for one ``write`` and fsyncs before it returns: a kill tears at most
-  the lines being written, and concurrent writers never splice lines.
+* :meth:`~AppendLog.append` opens the file per call (no writer keeps a
+  stale offset), holds the :func:`~.locking.locked` flock for one
+  ``write`` and fsyncs before it returns: a kill tears at most the lines
+  being written, and concurrent writers never splice lines.  After a
+  torn final line it writes a newline first, so the new lines are not
+  lost with the fragment.
 * :meth:`~AppendLog.replay` reads front to back with
   ``errors="replace"``; a line that is not a JSON object, or that the
   store's parse rejects with ``KeyError``/``TypeError``/``ValueError``,
@@ -52,10 +54,19 @@ class AppendLog:
                 "bytes_read": self.bytes_read}
 
     def append(self, payloads: Iterable[Dict]) -> None:
-        """Append one line per payload: one lock hold, one write, one fsync."""
-        text = "".join(json.dumps(payload) + "\n" for payload in payloads)
-        with open(self.path, "a") as f, locked(f):
-            f.write(text)
+        """Append one line per payload: one lock hold, one write, one fsync.
+
+        A file that does not end in a newline (a writer was killed
+        mid-line) gets one first, under the same lock.
+        """
+        data = "".join(json.dumps(payload) + "\n" for payload in payloads).encode()
+        with open(self.path, "a+b") as f, locked(f):
+            end = f.seek(0, os.SEEK_END)
+            if end:
+                f.seek(end - 1)
+                if f.read(1) != b"\n":
+                    data = b"\n" + data
+            f.write(data)
             f.flush()
             os.fsync(f.fileno())
 

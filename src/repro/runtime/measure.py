@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -31,7 +30,6 @@ from ..graph import MiniGraph, get_graph
 from ..ir import format_operation
 from ..model import INVALID_TIME, PerformanceModel, model_for, target_of
 from ..schedule import GraphConfig, LoweringError, LoweringMemo, Scheduled, lower
-from .profile import HotPathProfiler
 from ..space import Point, ScheduleSpace, build_space
 from .cache import EvalCache
 from .fault import (
@@ -45,6 +43,29 @@ from .fault import (
 #: Legacy cap on the kernel runtime billed per measurement when no
 #: explicit timeout is configured (a real runner never waits forever).
 DEFAULT_CHARGE_CAP = 1.0
+
+
+def materialization_seconds(graph: MiniGraph, graph_config: GraphConfig, device_spec) -> float:
+    """Cost of producer nodes the graph config does *not* inline.
+
+    An un-inlined padding/expansion node runs as its own elementwise
+    kernel: write its output, read it back in the consumer, plus a
+    launch.  Inlining (Algorithm 1's graph schedule, FlexTensor's
+    default) makes this free; template baselines that materialize
+    data-rearrangement stages pay it.
+    """
+    main = graph.main_op
+    bandwidth = getattr(device_spec, "bandwidth_gbs", None)
+    if bandwidth is None:
+        bandwidth = getattr(device_spec, "ddr_bandwidth_gbs")
+    launch = getattr(device_spec, "kernel_launch_us", 5.0) * 1e-6
+    total = 0.0
+    for op in graph.compute_ops:
+        if op is main or graph_config.should_inline(op.name):
+            continue
+        # write + read back + input read
+        total += op.output.size * 4 * 3 / (bandwidth * 1e9) + launch
+    return total
 
 
 def op_signature_of(
@@ -113,6 +134,10 @@ class MeasureStatus(enum.Enum):
             MeasureStatus.RUN_TIMEOUT,
             MeasureStatus.ILLEGAL,
         )
+
+
+#: A measurement's final outcome: (status, kernel seconds, attempts, error).
+Outcome = Tuple[MeasureStatus, float, int, Optional[str]]
 
 
 @dataclass
@@ -193,9 +218,7 @@ class Evaluator:
         measure_config: Optional[MeasureConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         eval_cache: Optional[EvalCache] = None,
-        canonicalize: bool = True,
         linter: Optional["ScheduleLinter"] = None,
-        memoize_lowering: bool = True,
     ):
         self.graph: MiniGraph = output if isinstance(output, MiniGraph) else get_graph(output)
         self.device_spec = device_spec
@@ -206,7 +229,9 @@ class Evaluator:
         self.measure_config = measure_config or MeasureConfig()
         self.fault_injector = fault_injector
         self.flops = flops_of(self.graph.main_op)
-        self._producer_overhead = self._materialization_seconds()
+        self._producer_overhead = materialization_seconds(
+            self.graph, self.graph_config, device_spec
+        )
         self.cache: Dict[Point, float] = {}
         self.records: List[MeasureResult] = []
         self.clock = 0.0
@@ -224,7 +249,6 @@ class Evaluator:
         # measurement.  The memo above stays keyed by *raw* points (so
         # records, quarantine and resume are untouched); the index below
         # maps each canonical key to the first measured representative.
-        self.canonicalize = canonicalize
         self.eval_cache = eval_cache
         self._canon_index: Dict[Point, Point] = {}
         self._canon_memo: Dict[Point, Point] = {}
@@ -239,11 +263,9 @@ class Evaluator:
         self.num_lint_rejects = 0
         self.lint_rule_counts: Dict[str, int] = {}
         # Hot path (ISSUE #7): memoize the structural half of lowering
-        # across points sharing split/reorder/fuse decisions, and account
-        # wall seconds per stage.  Both are pure accelerations — results
-        # are bit-identical with the memo on or off.
-        self.lowering_memo = LoweringMemo() if memoize_lowering else None
-        self.profiler = HotPathProfiler()
+        # across points sharing split/reorder/fuse decisions — a pure
+        # acceleration, results are bit-identical with or without it.
+        self.lowering_memo = LoweringMemo()
 
     # -- evaluation --------------------------------------------------------
 
@@ -364,9 +386,7 @@ class Evaluator:
         return performance
 
     def canonical_key(self, point: Point) -> Point:
-        """Canonical representative of a point (identity when disabled)."""
-        if not self.canonicalize:
-            return point
+        """Canonical representative of a point."""
         canon = self._canon_memo.get(point)
         if canon is None:
             canon = self.space.canonical_point(point)
@@ -390,34 +410,11 @@ class Evaluator:
             )
         return self._op_signature
 
-    def _retry_loop(self, next_attempt, on_retry=None):
-        """The one retry policy shared by the serial and pooled paths.
-
-        ``next_attempt(attempts)`` runs attempt number ``attempts``
-        (1-based) and returns ``(status, seconds, error)``; a transient
-        :attr:`MeasureStatus.RUNTIME_ERROR` is retried up to
-        ``max_retries`` times, invoking ``on_retry(retry_index)`` (0-based)
-        before each re-roll.  Returns ``(status, seconds, attempts,
-        error)`` of the final attempt.  Keeping this in one place means
-        backoff/billing changes cannot diverge between
-        :meth:`measure` and :meth:`remote_outcome`.
-        """
-        config = self.measure_config
-        attempts = 0
-        while True:
-            attempts += 1
-            status, seconds, error = next_attempt(attempts)
-            if status is MeasureStatus.RUNTIME_ERROR and attempts <= config.max_retries:
-                if on_retry is not None:
-                    on_retry(attempts - 1)
-                continue
-            return status, seconds, attempts, error
-
     def retry_charge(self, retry_index: int) -> float:
         """Simulated seconds one failed-then-retried attempt bills: the
         compile cost of the wasted attempt plus exponential backoff.
         Single source of truth for serial billing (:meth:`measure`) and
-        pooled billing (:meth:`outcome_cost`)."""
+        batched billing (:meth:`outcome_cost`)."""
         return (
             self.model.measurement_seconds(0.0)
             + self.measure_config.backoff_seconds * (2 ** retry_index)
@@ -425,73 +422,55 @@ class Evaluator:
 
     def measure(self, point: Point) -> MeasureResult:
         """Run the full fault-tolerant measurement pipeline on one point."""
-
-        def on_retry(retry_index: int) -> None:
-            # Transient: pay the failed attempt plus a backoff pause,
-            # then try again.  Real tuners pay wall-clock for both.
+        outcome = self.outcome(point, self._attempt_counts.get(point, 0))
+        # Transient: each retried attempt pays the failed attempt plus a
+        # backoff pause.  Real tuners pay wall-clock for both.
+        for retry_index in range(outcome[2] - 1):
             self.clock += self.retry_charge(retry_index)
+        return self.apply_outcome(point, outcome)
 
-        status, seconds, attempts, error = self._retry_loop(
-            lambda _attempts: self._attempt(point), on_retry=on_retry
-        )
-        return self._finish(point, status, seconds, attempts, error)
+    def outcome(self, point: Point, base_attempt: int) -> Outcome:
+        """Run the retry policy on one point, mutating no simulated state.
 
-    # -- pool-safe measurement halves (repro.runtime.parallel) -------------
-
-    def remote_outcome(self, point: Point, base_attempt: int = 0) -> Dict:
-        """The *pure* half of :meth:`measure`: run the retry loop and
-        return a picklable outcome dict, mutating no evaluator state.
-
-        ``base_attempt`` is the point's lifetime attempt count at
-        submission time, so fault-injector rolls are identical to the
-        rolls the serial path would have made.  The parent applies the
-        outcome (clock, cache, records) with :meth:`apply_remote`.
+        Each attempt runs at lifetime attempt index ``base_attempt +
+        attempts - 1`` (``base_attempt`` is the point's attempt count at
+        submission), so fault-injector rolls do not depend on whether the
+        point was measured alone or inside a batch.  A transient
+        :attr:`MeasureStatus.RUNTIME_ERROR` is retried up to
+        ``max_retries`` times; the final attempt's outcome is returned.
         """
-        status, seconds, attempts, error = self._retry_loop(
-            lambda attempts: self._attempt_at(point, base_attempt + attempts - 1)
-        )
-        return {
-            "point": list(point),
-            "status": status.value,
-            "seconds": seconds,
-            "attempts": attempts,
-            "error": error,
-        }
+        attempts = 0
+        while True:
+            attempts += 1
+            status, seconds, error = self._attempt_at(point, base_attempt + attempts - 1)
+            if (
+                status is not MeasureStatus.RUNTIME_ERROR
+                or attempts > self.measure_config.max_retries
+            ):
+                return status, seconds, attempts, error
 
-    def outcome_cost(self, outcome: Dict) -> float:
+    def outcome_cost(self, outcome: Outcome) -> float:
         """Simulated seconds one outcome bills — identical accounting to
         the serial :meth:`measure` path: each failed-then-retried attempt
         pays a compile cost plus exponential backoff, and the final
         attempt pays the (capped) kernel time."""
+        _status, seconds, attempts, _error = outcome
         cost = 0.0
-        for retry in range(outcome["attempts"] - 1):
+        for retry in range(attempts - 1):
             cost += self.retry_charge(retry)
         cost += self.model.measurement_seconds(
-            min(outcome["seconds"], self.measure_config.charge_cap)
+            min(seconds, self.measure_config.charge_cap)
         )
         return cost
 
-    def apply_remote(self, point: Point, outcome: Dict, clock: float) -> MeasureResult:
-        """The *billing* half of :meth:`measure`: fold a worker outcome
-        into evaluator state, stamping the record with the simulated
-        completion ``clock`` computed by the batch engine."""
-        self._attempt_counts[point] = (
-            self._attempt_counts.get(point, 0) + outcome["attempts"]
-        )
-        return self._finish(
-            point,
-            MeasureStatus(outcome["status"]),
-            outcome["seconds"],
-            outcome["attempts"],
-            outcome["error"],
-            clock=clock,
-        )
-
-    def _attempt(self, point: Point) -> Tuple[MeasureStatus, float, Optional[str]]:
-        """One measurement attempt: (status, kernel seconds, error)."""
-        attempt_index = self._attempt_counts.get(point, 0)
-        self._attempt_counts[point] = attempt_index + 1
-        return self._attempt_at(point, attempt_index)
+    def apply_outcome(
+        self, point: Point, outcome: Outcome, clock: Optional[float] = None
+    ) -> MeasureResult:
+        """Fold an :meth:`outcome` into evaluator state: attempt counts,
+        then :meth:`_finish` (clock, cache, records)."""
+        status, seconds, attempts, error = outcome
+        self._attempt_counts[point] = self._attempt_counts.get(point, 0) + attempts
+        return self._finish(point, status, seconds, attempts, error, clock=clock)
 
     def _attempt_at(
         self, point: Point, attempt_index: int
@@ -499,32 +478,22 @@ class Evaluator:
         """One measurement attempt at an explicit lifetime attempt index.
 
         Pure with respect to *simulated* state: touches no counters, no
-        clock, no records — safe to run inside a forked worker process.
-        (The lowering memo and wall-time profiler are touched, but both
-        are pure accelerations/diagnostics with no effect on results.)
+        clock, no records.  (The lowering memo is touched, but it is a
+        pure acceleration with no effect on results.)
         """
         config = self.measure_config
-        profiler = self.profiler
         fault = Fault.NONE
         if self.fault_injector is not None:
             fault = self.fault_injector.decide(point, attempt_index)
         try:
             if fault is Fault.COMPILE:
                 raise InjectedCompileError("injected compile failure")
-            started = perf_counter()
-            try:
-                scheduled = self.lower_point(point)
-            finally:
-                profiler.add("lower", perf_counter() - started)
+            scheduled = self.lower_point(point)
             if fault is Fault.HANG:
                 raise InjectedHang("injected kernel hang")
             if fault is Fault.TRANSIENT:
                 raise InjectedRuntimeError("injected transient device error")
-            started = perf_counter()
-            try:
-                seconds = self.model.estimate_seconds(scheduled)
-            finally:
-                profiler.add("model_eval", perf_counter() - started)
+            seconds = self.model.estimate_seconds(scheduled)
         except LoweringError as exc:
             return MeasureStatus.LOWER_ERROR, INVALID_TIME, str(exc)
         except InjectedHang as exc:
@@ -652,28 +621,6 @@ class Evaluator:
         recent = self.records[-window:]
         failed = sum(1 for r in recent if not r.status.ok)
         return failed / len(recent)
-
-    def _materialization_seconds(self) -> float:
-        """Cost of producer nodes the graph config does *not* inline.
-
-        An un-inlined padding/expansion node runs as its own elementwise
-        kernel: write its output, read it back in the consumer, plus a
-        launch.  Inlining (Algorithm 1's graph schedule, FlexTensor's
-        default) makes this free; template baselines that materialize
-        data-rearrangement stages pay it.
-        """
-        main = self.graph.main_op
-        bandwidth = getattr(self.device_spec, "bandwidth_gbs", None)
-        if bandwidth is None:
-            bandwidth = getattr(self.device_spec, "ddr_bandwidth_gbs")
-        launch = getattr(self.device_spec, "kernel_launch_us", 5.0) * 1e-6
-        total = 0.0
-        for op in self.graph.compute_ops:
-            if op is main or self.graph_config.should_inline(op.name):
-                continue
-            bytes_moved = op.output.size * 4 * 3  # write + read back + input read
-            total += bytes_moved / (bandwidth * 1e9) + launch
-        return total
 
     def charge(self, seconds: float) -> None:
         """Advance the simulated clock for non-measurement work (e.g.

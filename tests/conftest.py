@@ -1,10 +1,11 @@
 """Shared test configuration.
 
-Tests that exercise a real ``multiprocessing`` pool are marked ``slow``;
-on a single-core runner a fork pool buys nothing and only adds flaky
-start-up latency, so tier-1 ``pytest -x -q`` skips them there
-automatically.  Run them explicitly with ``pytest -m slow`` on a
-multi-core machine.
+The tests that start two writer processes against one store file
+(``TestConcurrentWriters`` and ``AppendLog``'s two-process append test)
+are marked ``slow``; on a single-core runner the writers cannot overlap
+and the extra processes only add flaky start-up latency, so tier-1
+``pytest -x -q`` skips them there automatically.  Run them explicitly
+with ``pytest -m slow`` on a multi-core machine.
 """
 
 import os

@@ -42,6 +42,15 @@ class TestFailureModes:
         assert values == [{"i": 0}, {"i": 1}]
         assert warned == [f"skipping corrupt line at {log.path}:3"]
 
+    def test_append_after_torn_final_line_starts_a_new_line(self, tmp_path):
+        log = write_valid(tmp_path / "log.jsonl", 2)
+        data = log.path.read_bytes()
+        log.path.write_bytes(data[:-4])
+        log.append([{"i": 2}])
+        values, warned = replay_all(log)
+        assert values == [{"i": 0}, {"i": 2}]
+        assert warned == [f"skipping corrupt line at {log.path}:2"]
+
     def test_binary_garbage_is_one_bad_line(self, tmp_path):
         log = write_valid(tmp_path / "log.jsonl", 1)
         with open(log.path, "ab") as f:

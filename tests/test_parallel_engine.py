@@ -1,7 +1,7 @@
 """Batched parallel evaluation engine and point canonicalization
 (ISSUE #2): canonical-equivalence soundness, workers=1 bit-identity with
 the serial path, simulated-clock overlap, dedup, quarantine interaction,
-resume, and the real fork pool (marked slow)."""
+resume, and exact pins of seeded (and fault-injected) trajectories."""
 
 import hashlib
 import json
@@ -133,7 +133,7 @@ class TestCanonicalPoint:
 
     def test_engine_serves_equivalent_point_without_remeasuring(self):
         ev = gemm_evaluator()
-        engine = BatchEngine(ev, workers=2, use_pool=False)
+        engine = BatchEngine(ev, workers=2)
         space = ev.space
         ui = knob_index(space, "unroll")
         a = list(heuristic_seed_points(space, 1, np.random.default_rng(0))[0])
@@ -197,7 +197,7 @@ class TestBatchEngine:
         ev_s = gemm_evaluator()
         serial = BatchEngine(ev_s, workers=1).evaluate_batch(points)
         ev_p = gemm_evaluator()
-        parallel = BatchEngine(ev_p, workers=4, use_pool=False).evaluate_batch(points)
+        parallel = BatchEngine(ev_p, workers=4).evaluate_batch(points)
         assert serial == parallel
         assert ev_s.num_measurements == ev_p.num_measurements
 
@@ -206,7 +206,7 @@ class TestBatchEngine:
         ev_s = gemm_evaluator()
         BatchEngine(ev_s, workers=1).evaluate_batch(points)
         ev_p = gemm_evaluator()
-        BatchEngine(ev_p, workers=4, use_pool=False).evaluate_batch(points)
+        BatchEngine(ev_p, workers=4).evaluate_batch(points)
         # 8 equal-cost jobs on 4 virtual workers: half the span of 2-deep
         # chains vs. an 8-deep serial chain.
         assert ev_p.clock < ev_s.clock / 2
@@ -228,7 +228,7 @@ class TestBatchEngine:
             if all(probe.canonical_key(p) != probe.canonical_key(q) for q in points):
                 points.append(p)
         points = points[:7]
-        costs = [probe.outcome_cost(probe.remote_outcome(p, 0)) for p in points]
+        costs = [probe.outcome_cost(probe.outcome(p, 0)) for p in points]
         assert len(set(costs)) > 1
         loads = [0.0] * 3
         completions = {}
@@ -237,7 +237,7 @@ class TestBatchEngine:
             loads[worker] += cost
             completions[point] = loads[worker]
         ev = make()
-        BatchEngine(ev, workers=3, use_pool=False).evaluate_batch(points)
+        BatchEngine(ev, workers=3).evaluate_batch(points)
         assert ev.clock == max(loads)
         assert {r.point: r.clock for r in ev.records} == completions
 
@@ -248,7 +248,7 @@ class TestBatchEngine:
             ev = gemm_evaluator(
                 fault_injector=FaultInjector(transient_error_rate=0.3, seed=2)
             )
-            engine = BatchEngine(ev, workers=4, use_pool=False)
+            engine = BatchEngine(ev, workers=4)
             values = engine.evaluate_batch(points)
             return values, ev.clock, [r.to_dict() for r in ev.records]
 
@@ -256,7 +256,7 @@ class TestBatchEngine:
 
     def test_records_have_monotone_clocks(self):
         ev = gemm_evaluator()
-        BatchEngine(ev, workers=4, use_pool=False).evaluate_batch(
+        BatchEngine(ev, workers=4).evaluate_batch(
             distinct_points(ev, 9)
         )
         clocks = [r.clock for r in ev.records]
@@ -265,7 +265,7 @@ class TestBatchEngine:
 
     def test_duplicate_points_measured_once(self):
         ev = gemm_evaluator()
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         point = distinct_points(ev, 1)[0]
         values = engine.evaluate_batch([point, point, point])
         assert ev.num_measurements == 1
@@ -280,7 +280,7 @@ class TestBatchEngine:
         point = distinct_points(ev, 1)[0]
         ev.evaluate(point)                    # fails once -> quarantined
         assert point in ev.quarantine
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         clock = ev.clock
         values = engine.evaluate_batch([point])
         assert values == [0.0]
@@ -303,14 +303,14 @@ class TestBatchEngine:
         ev_serial = make()
         ev_serial.measure(point)
         ev_parallel = make()
-        BatchEngine(ev_parallel, workers=4, use_pool=False).evaluate_batch([point])
+        BatchEngine(ev_parallel, workers=4).evaluate_batch([point])
         assert ev_parallel.clock == pytest.approx(ev_serial.clock)
         assert ev_parallel.records[-1].attempts == ev_serial.records[-1].attempts
 
     @pytest.mark.parametrize("tuner_cls", ALL_TUNERS)
     def test_parallel_tuners_complete_and_find(self, tuner_cls):
         ev = smoke_evaluator()
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         result = tuner_cls(ev, seed=0, engine=engine).tune(6, num_seeds=3)
         assert result.found
         assert result.num_measurements == sum(result.status_counts.values())
@@ -323,7 +323,7 @@ class TestBatchEngine:
             ev = smoke_evaluator(
                 fault_injector=FaultInjector(transient_error_rate=0.2, seed=3)
             )
-            engine = BatchEngine(ev, workers=4, use_pool=False)
+            engine = BatchEngine(ev, workers=4)
             tuner = FlexTensorTuner(ev, seed=1, engine=engine)
             return tuner.tune(
                 trials, num_seeds=3, checkpoint=checkpoint, resume=resume
@@ -339,10 +339,6 @@ class TestBatchEngine:
         assert resumed.curve == full.curve
         assert resumed.status_counts == full.status_counts
         assert resumed.exploration_seconds == full.exploration_seconds
-
-    def test_pool_disabled_on_workers_one(self):
-        engine = BatchEngine(gemm_evaluator(), workers=1, use_pool=True)
-        assert not engine.use_pool
 
 
 class TestBatchedTrajectoryPins:
@@ -382,33 +378,61 @@ class TestBatchedTrajectoryPins:
         assert hashlib.sha256(curve.encode()).hexdigest()[:16] == curve_digest
 
 
-@pytest.mark.slow
-class TestRealPool:
-    def test_fork_pool_matches_in_process(self):
-        points = distinct_points(gemm_evaluator(), 8)
-        ev_inproc = gemm_evaluator()
-        expected = BatchEngine(ev_inproc, workers=2, use_pool=False).evaluate_batch(points)
-        ev_pool = gemm_evaluator()
-        with BatchEngine(ev_pool, workers=2, use_pool=True) as engine:
-            got = engine.evaluate_batch(points)
-        assert got == expected
-        assert ev_pool.clock == ev_inproc.clock
-        assert [r.to_dict() for r in ev_pool.records] == [
-            r.to_dict() for r in ev_inproc.records
-        ]
 
-    def test_fork_pool_with_fault_injection(self):
-        def make():
-            return gemm_evaluator(
-                fault_injector=FaultInjector(
-                    transient_error_rate=0.4, jitter=0.1, seed=9
-                )
-            )
+class TestFaultedTrajectoryPins:
+    """Seeded fault-injected ``optimize`` tunes of the conv2d smoke shape
+    at ``workers=1`` (serial retries) and ``workers=4`` (greedy list
+    scheduling of retried outcomes).  Compile errors, hangs, transient
+    retries and jitter all occur, so the exact ``exploration_seconds``
+    and curve pin the retry billing's float arithmetic, not just its
+    approximate total."""
 
-        points = distinct_points(make(), 6)
-        ev_a, ev_b = make(), make()
-        with BatchEngine(ev_a, workers=2, use_pool=True) as engine:
-            pooled = engine.evaluate_batch(points)
-        inproc = BatchEngine(ev_b, workers=2, use_pool=False).evaluate_batch(points)
-        assert pooled == inproc
-        assert ev_a.status_counts == ev_b.status_counts
+    @pytest.mark.parametrize(
+        "workers,method,best_point,measurements,seconds,status_counts,curve_digest",
+        [
+            (1, "q", (0, 27, 12, 17, 1, 1, 1, 2, 0, 1, 1), 125, 230.8079728670145,
+             {"compile_error": 10, "flaky_retried": 26, "ok": 76,
+              "run_timeout": 11, "runtime_error": 2}, "707b49d542eb2481"),
+            (1, "p", (0, 27, 3, 3, 1, 1, 0, 0, 0, 1, 1), 549, 1028.0376561731373,
+             {"compile_error": 37, "flaky_retried": 136, "ok": 323,
+              "run_timeout": 34, "runtime_error": 19}, "9569a1c14a3ca0f4"),
+            (1, "random-walk", (0, 29, 3, 3, 1, 0, 0, 0, 0, 1, 1), 37, 78.00234897320061,
+             {"compile_error": 6, "flaky_retried": 7, "ok": 19,
+              "run_timeout": 3, "runtime_error": 2}, "308eb7f7cae24e4a"),
+            (1, "random-sample", (0, 25, 3, 3, 0, 0, 0, 0, 0, 1, 1), 36, 74.07351290791279,
+             {"compile_error": 4, "flaky_retried": 10, "ok": 18,
+              "run_timeout": 3, "runtime_error": 1}, "12e185ea29787e13"),
+            (4, "q", (0, 27, 3, 3, 0, 1, 0, 0, 1, 1, 1), 122, 102.50293591963087,
+             {"compile_error": 11, "flaky_retried": 32, "ok": 70,
+              "run_timeout": 7, "runtime_error": 2}, "3a6a89552d34c628"),
+            (4, "p", (0, 32, 3, 3, 0, 0, 0, 0, 0, 1, 0), 496, 239.40805243917038,
+             {"compile_error": 34, "flaky_retried": 127, "ok": 295,
+              "run_timeout": 25, "runtime_error": 15}, "c6724ce3f1788cd4"),
+            (4, "random-walk", (0, 29, 3, 3, 1, 0, 0, 0, 0, 1, 1), 37, 35.70048534571819,
+             {"compile_error": 6, "flaky_retried": 7, "ok": 19,
+              "run_timeout": 3, "runtime_error": 2}, "90806283457e130e"),
+            (4, "random-sample", (0, 25, 3, 3, 0, 0, 0, 0, 0, 1, 1), 36, 28.303308696016536,
+             {"compile_error": 4, "flaky_retried": 10, "ok": 18,
+              "run_timeout": 3, "runtime_error": 1}, "433f611f577d3a89"),
+        ],
+    )
+    def test_faulted_trajectory_is_pinned(
+        self, workers, method, best_point, measurements, seconds, status_counts,
+        curve_digest,
+    ):
+        out = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="c")
+        tuning = optimize(
+            out, V100, trials=8, method=method, workers=workers, seed=0,
+            fault_injector=FaultInjector(
+                compile_error_rate=0.05, hang_rate=0.05,
+                transient_error_rate=0.3, jitter=0.05, seed=0,
+            ),
+            measure_config=MeasureConfig(timeout_seconds=0.5),
+        ).tuning
+        assert tuning.best_point == best_point
+        assert tuning.num_measurements == measurements
+        assert tuning.exploration_seconds == seconds
+        assert tuning.status_counts == status_counts
+        assert tuning.curve[-1][0] == seconds
+        curve = json.dumps([list(entry) for entry in tuning.curve])
+        assert hashlib.sha256(curve.encode()).hexdigest()[:16] == curve_digest

@@ -193,14 +193,19 @@ class TestScreenState:
         state = json.loads(json.dumps(screen.get_state()))
         clone = SurrogateScreen(ev.space)
         clone.set_state(state)
+        # Snapshots written before the training-window option was removed
+        # carry ``"train_window": 0`` (full history); they still restore.
+        legacy = SurrogateScreen(ev.space)
+        legacy.set_state({**state, "train_window": 0})
         for seed in (11, 12, 13):
             batch = distinct_points(ev, 6, seed=seed)
             a = screen.screen(batch)
             b = clone.screen(batch)
-            assert a.forward == b.forward
-            assert a.screened == b.screened
-            assert a.scores == b.scores
-        assert screen.stats() == clone.stats()
+            c = legacy.screen(batch)
+            assert a.forward == b.forward == c.forward
+            assert a.screened == b.screened == c.screened
+            assert a.scores == b.scores == c.scores
+        assert screen.stats() == clone.stats() == legacy.stats()
 
     def test_roundtrip_preserves_counters_and_training(self):
         ev = smoke_evaluator()
