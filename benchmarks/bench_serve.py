@@ -17,7 +17,8 @@ Three sections:
   overlapping tenants stop paying for duplicate measurements; the
   speedup below is simulated measurement seconds saved, the Figure 6d/7
   quantity.
-* **Crash-recovery parity** — the ``selfcheck --serve`` drill inline: a
+* **Crash-recovery parity** — the kill-and-restart drill of
+  ``test_daemon_kill_recovery_is_bit_identical`` inline: a
   scripted daemon kill in the checkpoint-ahead-of-WAL commit window,
   restart, and a bit-identical comparison of every job's outcome
   against an uninterrupted reference run.

@@ -110,18 +110,6 @@ class IntrinsicSpec:
                     break
         return tuple(used)
 
-    @property
-    def covered_axes(self) -> Tuple[IterVar, ...]:
-        """All pattern axes a matched op must dedicate inner loops to."""
-        return self.spatial_axes + self.reduce_axes
-
-    def lane_count(self) -> int:
-        """Elements one intrinsic call covers (product of covered extents)."""
-        total = 1
-        for axis in self.covered_axes:
-            total *= axis.extent
-        return total
-
 
 def _dot4_vnni() -> IntrinsicSpec:
     x = placeholder((4,), name="vnni_x", dtype="int8")

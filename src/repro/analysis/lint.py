@@ -287,11 +287,6 @@ class ScheduleLinter:
         """Error-severity diagnostics only (the legality verdict)."""
         return [d for d in self.lint(config) if d.severity == ERROR]
 
-    def is_legal(self, config: NodeConfig) -> bool:
-        """True iff no error rule fires — by the soundness contract, true
-        iff the evaluator would not statically reject the point."""
-        return not self.errors(config)
-
     # -- rule groups ------------------------------------------------------
 
     def _structure(self, config: NodeConfig) -> List[Diagnostic]:

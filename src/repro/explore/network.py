@@ -1,8 +1,7 @@
 """A small fully-connected network with AdaDelta training, in pure numpy.
 
 The paper's Q-value predictor: four fully connected layers with ReLU
-activations (§5.1), trained online with the AdaDelta optimizer [64] and
-stabilized by a target-network copy as in DQN [36].
+activations (§5.1), trained online with the AdaDelta optimizer [64].
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ class MLP:
 
     ``forward`` keeps no state; ``train_batch`` runs one gradient step on
     a masked mean-squared error (only the Q-values of taken actions carry
-    loss, the DQN convention).  A network built with ``trainable=False``
-    (the DQN target copy, only ever overwritten by ``copy_from``) has no
-    optimizer, so its snapshots carry weights and biases only.
+    loss, the DQN convention).
     """
 
     NUM_LAYERS = 4
@@ -61,7 +58,6 @@ class MLP:
         output_size: int,
         hidden: int = 64,
         seed: int = 0,
-        trainable: bool = True,
     ):
         rng = np.random.default_rng(seed)
         sizes = [input_size, hidden, hidden, hidden, output_size]
@@ -71,9 +67,8 @@ class MLP:
             scale = np.sqrt(2.0 / fan_in)
             self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
             self.biases.append(np.zeros(fan_out))
-        self._optimizer = (
-            AdaDelta([w.shape for w in self.weights] + [b.shape for b in self.biases])
-            if trainable else None
+        self._optimizer = AdaDelta(
+            [w.shape for w in self.weights] + [b.shape for b in self.biases]
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -120,35 +115,20 @@ class MLP:
         self._optimizer.step(self.weights + self.biases, w_grads + b_grads)
         return loss
 
-    def copy_from(self, other: "MLP") -> None:
-        """Overwrite parameters with another network's (target-net sync)."""
-        for w, ow in zip(self.weights, other.weights):
-            w[...] = ow
-        for b, ob in zip(self.biases, other.biases):
-            b[...] = ob
-
     def get_state(self) -> dict:
         """All parameters and optimizer accumulators, JSON-compatible.
 
         float64 -> repr round-trips exactly through JSON, so a restored
         network continues training bit-identically.
         """
-        state = {
+        return {
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
+            "optimizer": self._optimizer.get_state(),
         }
-        if self._optimizer is not None:
-            state["optimizer"] = self._optimizer.get_state()
-        return state
 
     def set_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state`.
-
-        A network without an optimizer ignores the ``optimizer`` entry
-        that snapshots of a trainable network (or older snapshots of the
-        target copy) carry.
-        """
+        """Restore a snapshot produced by :meth:`get_state`."""
         self.weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
         self.biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
-        if self._optimizer is not None:
-            self._optimizer.set_state(state["optimizer"])
+        self._optimizer.set_state(state["optimizer"])

@@ -5,8 +5,10 @@ reinforcement-learning problem: state = current point, action = direction,
 reward = normalized performance improvement ``(E_e - E_p) / E_p``.  A
 four-layer ReLU network predicts per-direction Q-values; training happens
 periodically (every five trials) on the recorded transition tuples with
-DQN-style targets ``reward + α · max_d Y(e)`` computed by a target-network
-copy ``Y`` and optimized by AdaDelta.
+DQN-style targets ``reward + α · max_d Y(e)`` and optimized by AdaDelta.
+``Y`` is the online network before the training step.  DQN [36] reads
+``Y`` from a target copy synced after every step; that copy would equal
+the online network at every read, so none is kept.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ class QAgent:
         self.epsilon_min = epsilon_min
         self.train_period = train_period
         self.network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
-        # The target copy is only ever overwritten, never trained.
-        self.target_network = MLP(
-            space.feature_size, space.num_directions, hidden, seed=seed, trainable=False
-        )
-        self.target_network.copy_from(self.network)
         self.transitions: List[Transition] = []
         self.losses: List[float] = []
         # Per-direction running reward statistics: a cheap global prior the
@@ -154,8 +151,8 @@ class QAgent:
 
         features = np.stack([self.space.features(t.state) for t in batch])
         next_features = np.stack([self.space.features(t.next_state) for t in batch])
-        # Both networks evaluate their whole batch in one matrix forward.
-        next_q = self.target_network.forward(next_features)
+        # Both batches go through the pre-step network, one matrix forward each.
+        next_q = self.network.forward(next_features)
         current_q = self.network.forward(features)
 
         # DQN targets, fully vectorized: rows are distinct sampled
@@ -170,8 +167,6 @@ class QAgent:
         mask[rows, directions] = 1.0
         loss = self.network.train_batch(features, targets, mask)
         self.losses.append(loss)
-        # Back up the trained parameters into the stabilizing copy [36].
-        self.target_network.copy_from(self.network)
         return loss
 
 
@@ -180,13 +175,7 @@ class QAgent:
     def get_state(self) -> dict:
         """JSON-compatible snapshot of everything that evolves during a
         run: exploration rate, replay buffer, direction prior, the
-        network with its optimizer accumulators, and the private RNG.
-
-        The target network is not stored: only :meth:`train` writes
-        either network and it ends by copying the network into the
-        target (as the constructor does), so at every snapshot point the
-        target equals the network bit for bit and :meth:`set_state`
-        rebuilds it from there."""
+        network with its optimizer accumulators, and the private RNG."""
         return {
             "epsilon": self.epsilon,
             "trials_since_training": self._trials_since_training,
@@ -207,7 +196,10 @@ class QAgent:
         }
 
     def set_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
+        """Restore a snapshot produced by :meth:`get_state`.
+
+        Older snapshots also carry a ``target_network`` entry, a copy of
+        ``network``; it is ignored."""
         self.epsilon = state["epsilon"]
         self._trials_since_training = state["trials_since_training"]
         self._direction_reward = np.asarray(state["direction_reward"], dtype=np.float64)
@@ -223,11 +215,6 @@ class QAgent:
         ]
         self.losses = list(state.get("losses", []))
         self.network.set_state(state["network"])
-        if "target_network" in state:
-            # Older snapshots stored the (equal) target weights.
-            self.target_network.set_state(state["target_network"])
-        else:
-            self.target_network.copy_from(self.network)
         self._rng.bit_generator.state = state["rng"]
 
 

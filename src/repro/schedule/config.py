@@ -58,13 +58,6 @@ class NodeConfig:
             if min(factors, default=1) < 1:
                 raise ValueError(f"split factors must be positive, got {factors}")
 
-    def tile_extents(self, parts: slice) -> Tuple[int, ...]:
-        """Per-spatial-axis product of the selected split parts."""
-        return tuple(_product(f[parts]) for f in self.spatial_factors)
-
-    def reduce_tile_extents(self, parts: slice) -> Tuple[int, ...]:
-        return tuple(_product(f[parts]) for f in self.reduce_factors)
-
     def with_(self, **changes) -> "NodeConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
@@ -89,13 +82,6 @@ class NodeConfig:
             ]
         )
         return tuple(flat)
-
-
-def _product(values) -> int:
-    total = 1
-    for v in values:
-        total *= v
-    return total
 
 
 @dataclass(frozen=True)

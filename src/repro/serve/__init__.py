@@ -17,8 +17,7 @@ worker pool, EvalCache and RecordBook, and the service guarantees that
   (N crashes of one job quarantine the *job*, never the service).
 * A high-QPS read path — ``lookup(op, shape, device)`` answered
   straight from the RecordBook's O(1) indexes, enqueueing a tuning job
-  on miss; lookups keep working even when the measurement pool is
-  fully broken (degraded mode).
+  on miss; a lookup never measures.
 
 Everything runs on the simulated clock with seeded chaos injection so
 tests are deterministic, in the style of ``runtime/fault.py``.

@@ -1,4 +1,4 @@
-"""The tuning service: WAL-backed job execution, lookups, degradation.
+"""The tuning service: WAL-backed job execution and lookups.
 
 :class:`TuningService` is one daemon process' view of a *store
 directory* — the write-ahead job log, one atomic checkpoint file per
@@ -8,7 +8,8 @@ every durable artifact lives in the store, the daemon itself is
 stateless: ``kill -9`` it at any instant, construct a new service on
 the same directory, and it replays the log, preempts whatever was
 mid-flight, and resumes each job from its checkpoint bit-identically
-(the crash-recovery contract ``selfcheck --serve`` asserts).
+(the crash-recovery contract ``test_daemon_kill_recovery_is_bit_identical``
+in ``tests/test_serve.py`` asserts).
 
 Execution is time-sliced: one :meth:`step` runs one slice
 (``slice_trials`` trials) of the fair-share scheduler's pick through
@@ -17,12 +18,11 @@ literally "checkpoint + requeue", resume is "restore".  A slice that
 raises is a *job* crash: the job is requeued with its crash counter
 bumped, and ``max_crashes`` crashes quarantine the job, never the
 service (the same policy ``runtime/measure.py`` applies to poisoned
-points).  A broken measurement pool degrades the service to
-lookups-only.
+points).
 
 Chaos (:class:`ServeChaos`) is deterministic and test-facing, in the
 style of ``runtime/fault.py``: scripted daemon kills at slice
-boundaries, scripted per-job crash slices, and a pool-breaker switch.
+boundaries and scripted per-job crash slices.
 """
 
 from __future__ import annotations
@@ -80,14 +80,11 @@ class ServeChaos:
       an in-flight job whose slice never happened.
     * ``crash_slices`` — per-job poison script: ``{job_id: (k, ...)}``
       crashes that job's k-th RUNNING slice (0-based, counted per job).
-    * ``pool_broken`` — the measurement pool is down; the service
-      serves lookups only until it is flipped back.
     """
 
     kill_at_slice: Optional[int] = None
     kill_before_run: Optional[int] = None
     crash_slices: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    pool_broken: bool = False
 
 
 class TuningService:
@@ -204,16 +201,6 @@ class TuningService:
 
     # -- the scheduling loop -----------------------------------------------
 
-    def degraded(self) -> bool:
-        """Lookups-only mode: the measurement pool is fully broken."""
-        return bool(self.chaos and self.chaos.pool_broken)
-
-    def set_pool_broken(self, broken: bool) -> None:
-        """Flip the pool breaker (monitoring hook / tests)."""
-        if self.chaos is None:
-            self.chaos = ServeChaos()
-        self.chaos.pool_broken = bool(broken)
-
     def advance(self, seconds: float) -> None:
         """Advance the simulated clock without running work (idle time:
         lets TTLs expire and token buckets refill deterministically)."""
@@ -233,9 +220,9 @@ class TuningService:
 
     def step(self) -> Optional[str]:
         """Run one scheduling slice; returns the job id sliced, or None
-        when idle (nothing runnable, draining, or degraded)."""
+        when idle (nothing runnable, or draining)."""
         self._expire()
-        if self.draining or self.degraded():
+        if self.draining:
             return None
         job = self.scheduler.pick(self.store.jobs.values())
         if job is None:
@@ -359,8 +346,8 @@ class TuningService:
     ) -> Optional[TuningRecord]:
         """High-QPS read path: the best known schedule for (op, shape,
         device) straight from the RecordBook's O(1) index, or None on a
-        miss (optionally enqueueing a tuning job to fill it).  Works
-        even when the pool is broken — reads never touch the pool."""
+        miss (optionally enqueueing a tuning job to fill it).  A lookup
+        never measures."""
         self.num_lookups += 1
         record = self.records.best(workload_key(operator, params, device))
         if record is not None:
@@ -374,11 +361,6 @@ class TuningService:
             if job.state is JobState.ADMITTED:
                 self.num_lookup_enqueued += 1
         return None
-
-    def lookup_signature(self, signature: str) -> Optional[TuningRecord]:
-        """Best known schedule for a structural operator signature
-        (:meth:`Evaluator.op_signature`), from the O(1) signature index."""
-        return self.records.best_for_signature(signature)
 
     # -- drain / shutdown --------------------------------------------------
 
@@ -410,7 +392,6 @@ class TuningService:
             "active": len(self.store.active()),
             "slices_run": self.slices_run,
             "recovered_jobs": list(self.recovered_jobs),
-            "degraded": self.degraded(),
             "draining": self.draining,
             "lookups": self.num_lookups,
             "lookup_hits": self.num_lookup_hits,

@@ -148,6 +148,23 @@ class TestAcceptedMatchParity:
             execute_scheduled(tensorized, inputs), execute_scheduled(plain, inputs)
         )
 
+    def test_dot4_parity(self):
+        config = NodeConfig(
+            spatial_factors=((1, 2, 4), (1, 2, 4)),
+            reduce_factors=((2, 4),),
+            reorder=0,
+            vectorize=False,
+            tensorize="dot4_vnni",
+        )
+        assert tensorize_rejections(I8_OUT.op, config, "cpu") == []
+        tensorized = lower(I8_OUT, config, "cpu")
+        assert any(loop.annotation == TENSORIZE for loop in tensorized.loops)
+        plain = lower(I8_OUT, config.with_(tensorize=""), "cpu")
+        inputs = _integer_inputs(I8_OUT, 0)
+        expected = execute_scheduled(plain, inputs)
+        assert np.array_equal(execute_scheduled(tensorized, inputs), expected)
+        assert np.array_equal(run_generated(tensorized, inputs), expected)
+
     def test_mma_parity(self):
         out = gemm_compute(16, 16, 16, name="par_mma")
         config = NodeConfig(
@@ -286,14 +303,6 @@ class TestBillingAndFeatures:
 
 
 class TestCli:
-    def test_selfcheck_tensorize_passes(self, capsys):
-        import repro.__main__ as cli
-
-        assert cli.main(["selfcheck", "--tensorize"]) == 0
-        out = capsys.readouterr().out
-        assert "tensorize selfcheck passed" in out
-        assert "dot4_vnni" in out
-
     def test_lint_target_reports_ten_rules(self, capsys):
         import repro.__main__ as cli
 

@@ -234,8 +234,3 @@ class TestCli:
             if part.startswith("illegal=")
         ]
         assert len(illegal) == 2 and all(n > 0 for n in illegal)
-
-    def test_selfcheck_lint_smoke_passes(self, capsys):
-        assert cli.main(["selfcheck", "--lint"]) == 0
-        out = capsys.readouterr().out
-        assert "lint selfcheck passed" in out

@@ -137,11 +137,11 @@ class TestCli:
         assert "retries" in out
 
     @pytest.mark.parametrize("argv", [
-        ["gemm", "--faults"],
-        ["conv2d", "--parallel"],
-        ["lint", "--serve"],
-        ["tune-network", "--faults"],
-        ["selfcheck", "--lint-records"],
+        ["tune-network", "--enqueue"],
+        ["lookup", "--uniform"],
+        ["conv2d", "--ttl", "5"],
+        ["lint", "--max-slices", "1"],
+        ["tune-network", "--lint-records"],
         ["gemm", "--lint-records"],
         ["gemm", "--sample", "100"],
         ["serve", "--target", "cpu"],

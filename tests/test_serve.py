@@ -3,7 +3,7 @@
 Covers the robustness contract of docs/serve.md: the crash-safe WAL job
 store, bit-identical crash recovery, fair-share scheduling under tenant
 floods, admission control (queue depth, quotas, rate limits, TTL), the
-poisoned-job quarantine, degraded lookups-only mode, drain/shutdown,
+poisoned-job quarantine, drain/shutdown,
 shared EvalCache/RecordBook across preemption and resume, the O(1)
 RecordBook signature index, and the CLI exit-code contract.
 """
@@ -45,7 +45,7 @@ CONV = {"batch": 1, "in_channel": 4, "height": 8, "width": 8,
 
 
 def submit_mixed(service, trials=4):
-    """The selfcheck submission set: four jobs from two tenants."""
+    """The crash-recovery submission set: four jobs from two tenants."""
     service.submit("alice", "gemm", GEMM, "V100", trials=trials, seed=0, method="q")
     service.submit("bob", "gemm", {"n": 16, "k": 8, "m": 8}, "V100",
                    trials=trials, seed=1, method="p")
@@ -360,28 +360,7 @@ def test_job_crash_below_threshold_retries_and_completes(tmp_path):
     assert job.crashes == 1
 
 
-# -- degraded mode and drain ----------------------------------------------
-
-
-def test_degraded_pool_serves_lookups_and_preserves_queue(tmp_path):
-    service = TuningService(tmp_path, ServeConfig(slice_trials=2))
-    warm = service.submit("t", "gemm", GEMM, "V100", trials=2,
-                          seed=0, method="random-sample")
-    service.run()
-    assert warm.state is JobState.DONE
-
-    queued = service.submit("t", "gemm", {"n": 16, "k": 8, "m": 8}, "V100",
-                            trials=2, seed=0, method="random-sample")
-    service.set_pool_broken(True)
-    assert service.degraded()
-    assert service.run() == 0                  # no slices while broken
-    assert queued.state is JobState.ADMITTED   # queue intact, not dropped
-    hit = service.lookup("gemm", GEMM, "V100")
-    assert hit is not None and hit.gflops > 0  # reads survive a dead pool
-
-    service.set_pool_broken(False)
-    service.run()
-    assert queued.state is JobState.DONE
+# -- drain -----------------------------------------------------------------
 
 
 def test_drain_stops_admission_and_slicing_durably(tmp_path):
@@ -572,11 +551,3 @@ def test_cli_serve_reports_quarantined_jobs_nonzero(tmp_path, capsys):
     assert job.state is JobState.QUARANTINED
     assert main(["serve", "--store", str(store)]) == 1
     capsys.readouterr()
-
-
-def test_cli_selfcheck_serve_passes(capsys):
-    from repro.__main__ import main
-
-    assert main(["selfcheck", "--serve", "--trials", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "serve selfcheck passed" in out
