@@ -12,7 +12,7 @@ epilogues, an extra elementwise memory pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -147,58 +147,39 @@ def optimize_network(
     method: str = "q",
     fuse: bool = True,
     seed: int = 0,
-    scheduler: str = "uniform",
     **tuner_kwargs,
 ) -> NetworkResult:
-    """Optimize every distinct layer and assemble end-to-end time.
+    """Optimize every distinct layer with an identical, independent
+    ``trials`` budget and assemble end-to-end time.
 
-    ``method`` accepts the :func:`repro.optimize.optimize` methods plus
-    ``"autotvm"`` for the template baseline.
-
-    ``scheduler`` selects the trial allocation policy:
-
-    - ``"uniform"`` (default): every distinct layer is tuned
-      independently with an identical ``trials`` budget — the historical
-      behavior.
-    - ``"allocated"``: the network-level task scheduler
-      (:func:`repro.nn.tuner.tune_network`) — layers deduped by operator
-      signature, trial slices steered toward the tasks with the highest
-      predicted end-to-end gain within the same global budget.  Not
-      available for ``method="autotvm"``.
+    ``method`` accepts the :func:`repro.optimize.optimize` methods, which
+    run the flat baseline of :func:`repro.nn.tuner.tune_network`
+    (``allocate=False``; call ``tune_network`` for the gain-driven task
+    scheduler), plus ``"autotvm"`` for the template baseline.
+    ``tuner_kwargs`` reach ``tune_network`` or, for ``"autotvm"``,
+    :func:`repro.baselines.autotvm_optimize`.
     """
-    from ..baselines import autotvm_optimize
-    from ..optimize import optimize
-
-    if scheduler not in ("uniform", "allocated"):
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    if scheduler == "allocated":
-        if method == "autotvm":
-            raise ValueError("scheduler='allocated' requires an optimize() method")
+    if method != "autotvm":
         from .tuner import tune_network
 
         return tune_network(
             network, device_spec, trials=trials, method=method, fuse=fuse,
-            seed=seed, **tuner_kwargs,
+            seed=seed, allocate=False, **tuner_kwargs,
         ).to_network_result()
 
-    groups = partition_network(network, fuse=fuse)
+    from ..baselines import autotvm_optimize
+
     result = NetworkResult(network.name, device_spec.name, method)
-    for group in groups:
+    for group in partition_network(network, fuse=fuse):
         layer = group.anchor
-        output = layer.workload.build()
-        if method == "autotvm":
-            tuned = autotvm_optimize(output, device_spec, trials=trials, seed=seed)
-            kernel_seconds = tuned.best_seconds
-            gflops = tuned.best_performance
-        else:
-            opt = optimize(
-                output, device_spec, trials=trials, method=method, seed=seed,
-                **tuner_kwargs,
-            )
-            kernel_seconds = opt.kernel_seconds
-            gflops = opt.gflops
+        tuned = autotvm_optimize(
+            layer.workload.build(), device_spec, trials=trials, seed=seed,
+            **tuner_kwargs,
+        )
         epilogue = _epilogue_seconds(
             layer.workload, device_spec, fused=bool(group.fused_elementwise)
         )
-        result.layers.append(LayerResult(layer, kernel_seconds, epilogue, gflops))
+        result.layers.append(LayerResult(
+            layer, tuned.best_seconds, epilogue, tuned.best_performance,
+        ))
     return result

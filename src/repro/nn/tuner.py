@@ -1,11 +1,12 @@
 """Network-level task scheduler: signature dedup + gain-driven trials.
 
-``optimize_network`` used to hand every layer an identical, independent
-trial budget — wasteful twice over: structurally identical layers were
-tuned separately, and layers whose schedules had long converged kept
-burning measurements that the still-improving layers needed.  This
-module turns the §6.6 network case study into a *task scheduling*
-problem in the style of MetaSchedule/Ansor:
+Uniform allocation (``optimize_network``, or ``tune_network`` with
+``allocate=False``) hands every layer an identical, independent trial
+budget — wasteful twice over: structurally identical layers are tuned
+separately, and layers whose schedules have long converged keep burning
+measurements that the still-improving layers need.  This module turns
+the §6.6 network case study into a *task scheduling* problem in the
+style of MetaSchedule/Ansor:
 
 1. **Dedup** — layers are grouped by structural operator identity
    (:func:`~repro.runtime.op_signature_of`, the same signature that keys
@@ -23,7 +24,7 @@ problem in the style of MetaSchedule/Ansor:
    would be written and never resumed from.
    Every round re-ranks the runnable tasks by *predicted end-to-end
    latency gain*: the observed improvement of the task's network-time
-   contribution per trial over its recent slices.  Cold tasks (no trials
+   contribution per trial over its last slice.  Cold tasks (no trials
    yet) rank first, heaviest first; an ε floor forces any task that has
    not been served for ``starve_rounds`` rounds into the next round, so
    low-gain tasks are never starved.  Tasks whose improvement curve has
@@ -37,8 +38,8 @@ problem in the style of MetaSchedule/Ansor:
    stamped into the record book (with its signature, so ``python -m
    repro lookup`` and the serve read path answer network-layer queries
    directly), and a task's first slice warm-starts from the book's best
-   known schedule for its signature — exact hit first, same-family
-   nearest shape as a fallback.
+   known schedule for its exact signature.  There is no cross-shape
+   fallback: another shape's split factors never fit a task's space.
 
 Everything the scheduler decides is a pure function of the seed and the
 initial store state: ranking uses no RNG, ties break deterministically
@@ -64,7 +65,6 @@ from ..runtime import (
     TuningRecord,
     load_checkpoint,
     op_signature_of,
-    parse_workload_key,
     save_checkpoint,
     workload_key,
 )
@@ -86,6 +86,17 @@ SERVE_OPERATORS = {"C2D": "conv2d", "GMM": "gemm", "GMV": "gemv"}
 NETWORK_CHECKPOINT = "network.ckpt"
 
 _SCHEDULER_NAME = "network-scheduler"
+
+#: A slice that moves a task's network-time contribution by no more than
+#: this fraction of it is stale; ``patience`` stale slices end the task.
+STALE_REL = 1e-3
+
+#: :class:`NetworkTaskScheduler` tuning knobs — meaningless on the flat
+#: ``allocate=False`` path, which rejects them.
+SCHEDULER_KNOBS = frozenset({
+    "slice_trials", "round_slots", "starve_rounds", "patience", "min_trials",
+    "cap_boost", "budget_frac", "topup_frac", "max_restarts", "restart_trials",
+})
 
 
 class NetworkKilled(BaseException):
@@ -152,19 +163,19 @@ class TuneTask:
             return float("inf")
         return seconds * self.multiplicity
 
-    def gain_rate(self, window: int = 1) -> float:
+    def gain_rate(self) -> float:
         """Observed end-to-end seconds gained per trial over the last
-        ``window`` slices — the marginal-gain estimate the allocator
-        ranks by.  ``inf`` while the curve is too short to estimate
-        (an unknown task is worth exploring)."""
+        slice — the marginal-gain estimate the allocator ranks by.
+        ``inf`` while the curve is too short to estimate (an unknown
+        task is worth exploring)."""
         samples = [s for s in self.curve if math.isfinite(s[1])]
         if len(samples) < 2:
             return float("inf")
-        recent = samples[-(window + 1):]
-        trials = recent[-1][0] - recent[0][0]
+        (start_trials, start_s), (end_trials, end_s) = samples[-2:]
+        trials = end_trials - start_trials
         if trials <= 0:
             return 0.0
-        gained = (recent[0][1] - recent[-1][1]) * self.multiplicity
+        gained = (start_s - end_s) * self.multiplicity
         return max(0.0, gained) / trials
 
     # -- checkpointing ------------------------------------------------------
@@ -303,24 +314,22 @@ class NetworkTuneResult:
         return "\n".join(lines)
 
 
-def _shape_distance(a: Dict[str, int], b: Dict[str, int]) -> Optional[float]:
-    """Log-scale distance between two parameter dicts of one family.
-
-    None when the dicts do not describe comparable workloads (different
-    parameter sets).  Symmetric, 0 for identical shapes.
-    """
-    if set(a) != set(b):
-        return None
-    distance = 0.0
-    for key in sorted(a):
-        va, vb = a[key], b[key]
-        if va == vb:
-            continue
-        if va <= 0 or vb <= 0:
-            distance += abs(va - vb)
-        else:
-            distance += abs(math.log2(va / vb))
-    return distance
+def _stamp(records: Optional[RecordBook], device_spec, task: TuneTask, result,
+           seed: int) -> None:
+    """Fold a found schedule into the shared record book under the task's
+    serve workload key and signature."""
+    if records is None or not result.found:
+        return
+    alias = SERVE_OPERATORS.get(task.workload.operator, task.workload.operator)
+    device = getattr(device_spec, "name", str(device_spec))
+    records.add(TuningRecord(
+        key=workload_key(alias, task.workload.params, device),
+        config=result.config,
+        gflops=result.gflops,
+        trials=task.trials_done,
+        seed=seed,
+        signature=task.signature,
+    ))
 
 
 class NetworkTaskScheduler:
@@ -344,8 +353,6 @@ class NetworkTaskScheduler:
         starve_rounds: int = 4,
         patience: int = 2,
         min_trials: Optional[int] = None,
-        gain_window: int = 1,
-        stale_rel: float = 1e-3,
         cap_boost: float = 2.0,
         budget_frac: float = 1.0,
         topup_frac: float = 0.25,
@@ -371,8 +378,6 @@ class NetworkTaskScheduler:
         self.min_trials = (
             2 * self.slice_trials if min_trials is None else max(1, int(min_trials))
         )
-        self.gain_window = max(1, int(gain_window))
-        self.stale_rel = float(stale_rel)
         self.max_restarts = max(0, int(max_restarts))
         # A restart pays a fixed re-seeding overhead before its fresh
         # trajectory can overtake the merged best; a runway shorter than
@@ -556,7 +561,7 @@ class NetworkTaskScheduler:
         cold.sort(key=lambda t: (-t.weight_flops, t.index))
         warm = [t for t in runnable if t.trials_done > 0]
         warm.sort(
-            key=lambda t: (-t.gain_rate(self.gain_window), -t.weight_flops, t.index)
+            key=lambda t: (-t.gain_rate(), -t.weight_flops, t.index)
         )
         plan: List[Tuple[int, str]] = []
         chosen = set()
@@ -573,51 +578,16 @@ class NetworkTaskScheduler:
     # -- warm starting ------------------------------------------------------
 
     def _warm_start(self, task: TuneTask):
-        """Best known schedule for this task from the shared record book:
-        exact signature hit first, same-family nearest shape fallback."""
+        """Best known schedule for this task's exact signature in the
+        shared record book."""
         if self.records is None:
             return None, ""
         exact = self.records.best_for_signature(task.signature)
-        if exact is not None:
-            return exact.config, "signature"
-        alias = SERVE_OPERATORS.get(task.workload.operator, task.workload.operator)
-        device = getattr(self.device_spec, "name", str(self.device_spec))
-        best_key: Optional[str] = None
-        best_distance = float("inf")
-        for key in self.records.keys():
-            parsed = parse_workload_key(key)
-            if parsed is None:
-                continue
-            operator, params, key_device = parsed
-            if operator != alias or key_device != device:
-                continue
-            distance = _shape_distance(dict(task.workload.params), params)
-            if distance is None:
-                continue
-            if distance < best_distance or (
-                distance == best_distance and (best_key is None or key < best_key)
-            ):
-                best_key, best_distance = key, distance
-        if best_key is None:
+        if exact is None:
             return None, ""
-        return self.records.best(best_key).config, f"family:{best_key}"
+        return exact.config, "signature"
 
     # -- slices -------------------------------------------------------------
-
-    def _stamp(self, task: TuneTask, result) -> None:
-        """Fold an improving slice into the shared record book."""
-        if self.records is None or not result.found:
-            return
-        alias = SERVE_OPERATORS.get(task.workload.operator, task.workload.operator)
-        device = getattr(self.device_spec, "name", str(self.device_spec))
-        self.records.add(TuningRecord(
-            key=workload_key(alias, task.workload.params, device),
-            config=result.config,
-            gflops=result.gflops,
-            trials=task.trials_done,
-            seed=self.seed,
-            signature=task.signature,
-        ))
 
     def _run_slice(self, task: TuneTask, reason: str) -> None:
         from ..optimize import optimize  # local: avoid an import cycle
@@ -685,7 +655,7 @@ class NetworkTaskScheduler:
         )
         task.curve.append((task.trials_done, task.kernel_seconds))
         # Convergence: a slice that moved this task's network-time
-        # contribution by less than ``stale_rel`` of its value is stale;
+        # contribution by less than ``STALE_REL`` of its value is stale;
         # ``patience`` consecutive stale slices end the task.
         improvement = previous_latency - task.latency()
         if not math.isfinite(task.latency()):
@@ -694,7 +664,7 @@ class NetworkTaskScheduler:
             # First valid schedule: latency went inf -> finite, the
             # largest possible improvement — never a stale slice.
             task.stale_slices = 0
-        elif improvement <= self.stale_rel * task.latency():
+        elif improvement <= STALE_REL * task.latency():
             task.stale_slices += 1
         else:
             task.stale_slices = 0
@@ -705,7 +675,7 @@ class NetworkTaskScheduler:
             task.done = True
             task.done_reason = "converged"
         if task.best_gflops > previous_best:
-            self._stamp(task, result)
+            _stamp(self.records, self.device_spec, task, result, self.seed)
         if first_slice_of_run:
             warm_label = "restart" if task.restarts else task.warm_source
         else:
@@ -1004,14 +974,7 @@ def _tune_uniform(
             done_reason="uniform",
         )
         tasks.append(task)
-        if records is not None and result.found:
-            alias = SERVE_OPERATORS.get(layer.workload.operator, layer.workload.operator)
-            records.add(TuningRecord(
-                key=workload_key(alias, layer.workload.params, device),
-                config=result.config, gflops=result.gflops,
-                trials=trials, seed=seed,
-                signature=task.signature,
-            ))
+        _stamp(records, device_spec, task, result, seed)
         epilogue = _epilogue_seconds(
             layer.workload, device_spec, fused=bool(group.fused_elementwise)
         )
@@ -1068,8 +1031,8 @@ def tune_network(
             accounting (the comparison arm of ``bench_network.py``).
         records: a shared :class:`~repro.runtime.RecordBook` (or path):
             every improving slice is stamped with its signature, and new
-            tasks warm-start from the best known schedule (exact
-            signature hit, then same-family nearest shape).
+            tasks warm-start from the best known schedule for their
+            exact signature.
         eval_cache: a shared :class:`~repro.runtime.EvalCache` (or
             cache directory) serving previously measured points across
             tasks and runs.
@@ -1084,15 +1047,16 @@ def tune_network(
         **scheduler_kwargs: :class:`NetworkTaskScheduler` knobs
             (``slice_trials``, ``round_slots``, ``starve_rounds``,
             ``patience``, ``cap_boost``, ...) plus any
-            :func:`~repro.optimize.optimize` tuner options.
+            :func:`~repro.optimize.optimize` tuner options.  The knobs
+            are rejected with ``TypeError`` when ``allocate=False``.
     """
     if not allocate:
-        # Scheduler-only knobs make no sense on the flat path.
-        for knob in ("slice_trials", "round_slots", "starve_rounds", "patience",
-                     "min_trials", "gain_window", "stale_rel", "cap_boost",
-                     "budget_frac", "topup_frac", "max_restarts",
-                     "restart_trials"):
-            scheduler_kwargs.pop(knob, None)
+        knobs = sorted(set(scheduler_kwargs) & SCHEDULER_KNOBS)
+        if knobs:
+            raise TypeError(
+                f"scheduler knobs have no effect with allocate=False: "
+                f"{', '.join(knobs)}"
+            )
         return _tune_uniform(
             network, device_spec, trials=trials, method=method, fuse=fuse,
             seed=seed, records=records, eval_cache=eval_cache,

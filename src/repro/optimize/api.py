@@ -9,6 +9,7 @@ code, and the exploration statistics the benchmarks report.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -181,6 +182,8 @@ def optimize(
         space: pre-built schedule space (rebuilt from analysis otherwise).
         warm_start: a previously tuned configuration (e.g. from a
             :class:`~repro.runtime.RecordBook`) evaluated before searching.
+            One that does not encode in this space is dropped with a
+            warning.
         measure_config: timeout / retry / quarantine policy of the
             measurement pipeline (``docs/robustness.md``).
         fault_injector: a :class:`~repro.runtime.FaultInjector` imposing
@@ -263,8 +266,12 @@ def optimize(
     if warm_start is not None:
         try:
             seed_points.append(space.encode(warm_start))
-        except (KeyError, ValueError, IndexError):
-            pass  # the stored config lies outside this (pruned) space
+        except (KeyError, ValueError, IndexError) as exc:
+            # The stored config lies outside this space (another shape's
+            # split factors, or a pruned knob): search without it.
+            warnings.warn(
+                f"warm_start dropped: it does not encode in this space ({exc!r})"
+            )
     screen = (
         SurrogateScreen(space, screen_ratio=screen_ratio, seed=seed)
         if surrogate

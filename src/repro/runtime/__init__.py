@@ -20,7 +20,7 @@ from .measure import (
     op_signature_of,
 )
 from .parallel import BatchEngine
-from .records import RecordBook, TuningRecord, parse_workload_key, workload_key
+from .records import RecordBook, TuningRecord, workload_key
 
 __all__ = [
     "BatchEngine",
@@ -42,7 +42,6 @@ __all__ = [
     "load_checkpoint",
     "materialization_seconds",
     "op_signature_of",
-    "parse_workload_key",
     "save_checkpoint",
     "workload_key",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..schedule import NodeConfig
 from ..utils.serialization import config_from_dict, config_to_dict
@@ -25,29 +25,6 @@ def workload_key(operator: str, params: Dict, device: str) -> str:
     """Canonical lookup key for a tuned workload."""
     shape = ",".join(f"{k}={params[k]}" for k in sorted(params))
     return f"{operator}[{shape}]@{device}"
-
-
-def parse_workload_key(key: str) -> Optional[Tuple[str, Dict[str, int], str]]:
-    """Inverse of :func:`workload_key`: ``(operator, params, device)``.
-
-    Returns None for keys that do not follow the canonical layout (e.g.
-    hand-written record files) instead of raising — callers scanning a
-    whole book for same-family neighbors must survive foreign keys.
-    """
-    try:
-        head, device = key.rsplit("@", 1)
-        operator, rest = head.split("[", 1)
-        if not rest.endswith("]"):
-            return None
-        body = rest[:-1]
-        params: Dict[str, int] = {}
-        if body:
-            for item in body.split(","):
-                name, value = item.split("=", 1)
-                params[name] = int(value)
-        return operator, params, device
-    except (ValueError, TypeError):
-        return None
 
 
 @dataclass

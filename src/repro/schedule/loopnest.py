@@ -11,6 +11,7 @@ optimizer can express is also executable and testable for semantics.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +63,8 @@ class Scheduled:
         op: the compute node being scheduled.
         target: target name ("gpu", "cpu", "fpga").
         loops: the transformed loop nest, outermost first.
-        index_map: original :class:`IterVar` -> expression over loop vars.
+        index_map: original :class:`IterVar` -> expression over loop vars
+            (read-only: lowering shares one map across schedules).
         inlined: producer ops whose bodies are computed in place (padding,
             expansion nodes — the paper's ``inline`` primitive).
         cached_tensors: input tensors staged in GPU shared memory / FPGA
@@ -74,7 +76,7 @@ class Scheduled:
     op: ComputeOp
     target: str
     loops: List[LoopDef]
-    index_map: Dict[IterVar, Expr]
+    index_map: Mapping[IterVar, Expr]
     inlined: Tuple = ()
     cached_tensors: Tuple = ()
     primitives: List[str] = field(default_factory=list)

@@ -22,7 +22,7 @@ paper's pre-determined decision for data-rearrangement nodes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,9 +84,10 @@ class LazyIndexMap(Mapping):
     ``[]``/``items()``/``values()`` builds the expressions exactly as the
     eager path would (same construction order, same substitution order,
     same ``simplify`` pass) and caches them for every subsequent read.
-    Instances are immutable and shared across all :class:`Scheduled`
-    objects built from one structure, so each unique loop structure pays
-    for reconstruction at most once per process.
+    Instances are read-only (a write raises ``TypeError``) and shared
+    across all :class:`Scheduled` objects built from one structure, so
+    each unique loop structure pays for reconstruction at most once per
+    process.
     """
 
     __slots__ = ("_split_specs", "_fuse_specs", "_final")
@@ -140,71 +141,6 @@ class LazyIndexMap(Mapping):
 
     def __contains__(self, axis) -> bool:
         return axis in self._split_specs
-
-    def view(self) -> "IndexMapView":
-        return IndexMapView(self)
-
-
-_DELETED = object()
-
-
-class IndexMapView(MutableMapping):
-    """Per-:class:`Scheduled` copy-on-write facade over a shared
-    :class:`LazyIndexMap`.
-
-    The lazy map (and its memoized expressions) is shared by every
-    ``Scheduled`` built from one cached structure, so it must never be
-    written.  Callers that patch an index map — validation tests corrupt
-    entries on purpose — get their writes stored in a private overlay,
-    leaving the shared map and every sibling schedule untouched.
-    """
-
-    __slots__ = ("_base", "_overrides")
-
-    def __init__(self, base: Mapping):
-        self._base = base
-        self._overrides: Optional[Dict] = None
-
-    def __getitem__(self, axis):
-        if self._overrides is not None:
-            value = self._overrides.get(axis, _DELETED)
-            if value is not _DELETED:
-                return value
-            if axis in self._overrides:
-                raise KeyError(axis)
-        return self._base[axis]
-
-    def __setitem__(self, axis, expr) -> None:
-        if self._overrides is None:
-            self._overrides = {}
-        self._overrides[axis] = expr
-
-    def __delitem__(self, axis) -> None:
-        if axis not in self:
-            raise KeyError(axis)
-        if self._overrides is None:
-            self._overrides = {}
-        self._overrides[axis] = _DELETED
-
-    def __contains__(self, axis) -> bool:
-        # Delegates to the lazy map's key set — must NOT go through
-        # __getitem__ (the MutableMapping default), which would force
-        # expression materialization just to answer membership.
-        if self._overrides is not None and axis in self._overrides:
-            return self._overrides[axis] is not _DELETED
-        return axis in self._base
-
-    def __iter__(self):
-        overrides = self._overrides or {}
-        for axis in self._base:
-            if overrides.get(axis, None) is not _DELETED:
-                yield axis
-        for axis in overrides:
-            if axis not in self._base and overrides[axis] is not _DELETED:
-                yield axis
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 @dataclass(frozen=True)
@@ -411,7 +347,7 @@ def _annotate(
         op=op,
         target=target,
         loops=loops,
-        index_map=structure.index_map.view(),
+        index_map=structure.index_map,
         cached_tensors=tuple(cached),
         primitives=primitives,
         config=config,

@@ -9,7 +9,8 @@ import pytest
 
 import repro.explore.tuner as explore_tuner
 from repro.__main__ import main
-from repro.model import XEON_E5_2699V4
+from repro.graph import get_graph
+from repro.model import XEON_E5_2699V4, target_of
 from repro.nn import (
     LayerSpec,
     Network,
@@ -20,9 +21,10 @@ from repro.nn import (
     tune_network,
 )
 from repro.nn.network import _epilogue_seconds
-from repro.nn.tuner import TuneTask
+from repro.nn.tuner import SCHEDULER_KNOBS, TuneTask
 from repro.ops.workloads import Workload
-from repro.runtime import RecordBook
+from repro.runtime import RecordBook, load_checkpoint
+from repro.space import build_space
 
 from .kills import MeasureKilled, patch_measure_kill
 
@@ -47,7 +49,9 @@ def tiny_network():
 
 
 def run(base, network=None, chaos=None, resume=False, **kwargs):
-    options = dict(trials=8, seed=3, slice_trials=3, round_slots=2)
+    options = dict(trials=8, seed=3)
+    if kwargs.get("allocate", True):
+        options.update(slice_trials=3, round_slots=2)   # scheduler knobs
     options.update(kwargs)
     return tune_network(
         network if network is not None else tiny_network(), DEVICE,
@@ -303,11 +307,28 @@ class TestSharedRecords:
 
     def test_warm_start_from_prior_run(self, tmp_path):
         """A second network run over the same store warm-starts every
-        task from the record book (exact signature hits)."""
-        first = run(tmp_path)
-        # The heaviest task is tuned first, before any record exists.
-        assert first.tasks[0].warm_source == ""
-        second = run(tmp_path)  # same store: records now pre-populated
+        task from the record book (exact signature hits), and a task
+        labeled warm really began its search at the stored schedule."""
+        def run_and_check():
+            before = RecordBook(tmp_path / "records.jsonl")
+            result = run(tmp_path)
+            for task in result.tasks:
+                if not task.warm_source:
+                    continue
+                record = before.best_for_signature(task.signature)
+                assert record is not None, task.warm_source
+                space = build_space(get_graph(task.workload.build()), target_of(DEVICE))
+                snapshot = load_checkpoint(
+                    tmp_path / "ckpt" / f"task-{task.index:03d}-r0.ckpt"
+                )
+                first_point = tuple(snapshot["state"]["evaluated"][0][0])
+                assert first_point == space.encode(record.config)
+            return result
+
+        first = run_and_check()
+        # No record exists before the first run, so nothing warm-starts.
+        assert all(t.warm_source == "" for t in first.tasks)
+        second = run_and_check()  # same store: records now pre-populated
         assert all(t.warm_source == "signature" for t in second.tasks)
 
 
@@ -323,17 +344,33 @@ class TestBudget:
         assert len(result.tasks) == 4          # no dedup on the flat path
         assert result.trials_spent == result.trials_budget
 
-    def test_optimize_network_scheduler_wiring(self):
+    @pytest.mark.parametrize("knob", sorted(SCHEDULER_KNOBS))
+    def test_uniform_mode_rejects_scheduler_knobs(self, tmp_path, knob):
+        with pytest.raises(TypeError, match=knob):
+            run(tmp_path, allocate=False, **{knob: 2})
+        with pytest.raises(TypeError, match=knob):
+            optimize_network(tiny_network(), DEVICE, trials=2, **{knob: 2})
+
+    def test_optimize_network_is_the_uniform_tune(self):
         network = Network("one", [LayerSpec(conv("a", 4, 8, 8, kernel=1), 1)])
-        result = optimize_network(
-            network, DEVICE, trials=4, scheduler="allocated", slice_trials=2,
-        )
-        assert result.layers and math.isfinite(result.total_seconds)
-        with pytest.raises(ValueError):
-            optimize_network(network, DEVICE, scheduler="nope")
-        with pytest.raises(ValueError):
-            optimize_network(network, DEVICE, method="autotvm",
-                             scheduler="allocated")
+        classic = optimize_network(network, DEVICE, trials=4, seed=1, num_seeds=2)
+        uniform = tune_network(
+            network, DEVICE, trials=4, seed=1, allocate=False, num_seeds=2,
+        ).to_network_result()
+        assert classic == uniform
+        assert classic.layers and math.isfinite(classic.total_seconds)
+
+    def test_optimize_network_passes_options_to_autotvm(self):
+        # A padded layer: ``inline_helpers=False`` materializes its
+        # padding stage as a separate kernel.
+        network = Network("one", [LayerSpec(conv("a", 4, 8, 8), 1)])
+        with pytest.raises(TypeError, match="bogus_option"):
+            optimize_network(network, DEVICE, trials=2, method="autotvm",
+                             bogus_option=1)
+        inlined = optimize_network(network, DEVICE, trials=2, method="autotvm")
+        naive = optimize_network(network, DEVICE, trials=2, method="autotvm",
+                                 inline_helpers=False)
+        assert naive.total_seconds > inlined.total_seconds
 
 
 class TestEpilogueDtype:

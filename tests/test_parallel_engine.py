@@ -148,6 +148,7 @@ class TestCanonicalPoint:
         assert ev.num_canon_hits == 1
 
 
+@pytest.mark.faults
 class TestWorkersOneBitIdentity:
     """workers=1 must be byte-for-byte the serial path, faults included."""
 
@@ -212,6 +213,7 @@ class TestBatchEngine:
         assert ev_p.clock < ev_s.clock / 2
         assert ev_p.clock > 0
 
+    @pytest.mark.faults
     def test_billing_is_greedy_list_scheduling(self):
         # In submission order, each job's cost goes to the least-loaded
         # of W virtual workers; the batch bills its makespan and every
@@ -241,6 +243,7 @@ class TestBatchEngine:
         assert ev.clock == max(loads)
         assert {r.point: r.clock for r in ev.records} == completions
 
+    @pytest.mark.faults
     def test_parallel_is_deterministic(self):
         points = distinct_points(gemm_evaluator(), 10, seed=5)
 
@@ -272,6 +275,7 @@ class TestBatchEngine:
         assert len(set(values)) == 1
         assert engine.num_deduped == 2
 
+    @pytest.mark.faults
     def test_quarantined_point_served_free_in_batch(self):
         ev = gemm_evaluator(
             fault_injector=FaultInjector(transient_error_rate=1.0),
@@ -287,6 +291,7 @@ class TestBatchEngine:
         assert ev.clock == clock              # no charge, no measurement
         assert ev.num_quarantine_hits == 1
 
+    @pytest.mark.faults
     def test_retry_billing_matches_serial_accounting(self):
         # One all-transient point: the parallel path must charge exactly
         # the serial retry arithmetic (compile cost + exponential backoff
@@ -318,6 +323,7 @@ class TestBatchEngine:
         assert result.throughput["workers"] == 4
         assert result.throughput["points_submitted"] > 0
 
+    @pytest.mark.faults
     def test_parallel_resume_is_cache_consistent(self, tmp_path):
         def run(checkpoint=None, resume=False, trials=6):
             ev = smoke_evaluator(
@@ -379,6 +385,7 @@ class TestBatchedTrajectoryPins:
 
 
 
+@pytest.mark.faults
 class TestFaultedTrajectoryPins:
     """Seeded fault-injected ``optimize`` tunes of the conv2d smoke shape
     at ``workers=1`` (serial retries) and ``workers=4`` (greedy list

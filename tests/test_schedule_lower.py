@@ -234,6 +234,7 @@ class TestValidateSchedule:
         out = gemm_compute(8, 8, 8, name="g")
         scheduled = lower(out, gemm_gpu_config(), "gpu")
         axis = out.op.axes[0]
+        scheduled.index_map = dict(scheduled.index_map)
         scheduled.index_map[axis] = IntImm(0)  # constant: not a bijection
         with pytest.raises(ScheduleValidationError):
             validate_schedule(scheduled)

@@ -63,6 +63,8 @@ def corrupt_one(output, target="gpu", seed=5):
     space = build_space(output, target)
     rng = np.random.default_rng(seed)
     scheduled = lower(output, space.decode(space.random_point(rng)), target)
+    # Lowering shares one read-only index map; corrupt a private copy.
+    scheduled.index_map = dict(scheduled.index_map)
     axis = next(iter(output.op.all_axes))
     return scheduled, axis
 

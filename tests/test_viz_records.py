@@ -1,9 +1,11 @@
 """Tests for terminal visualization and the tuning-record store."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import tune_workload
+from repro import optimize, tune_workload
 from repro.model import V100
 from repro.ops import SUITES
 from repro.runtime import RecordBook, TuningRecord, workload_key
@@ -104,6 +106,22 @@ class TestTuneWorkloadWarmStart:
         key = workload_key(workload.operator, workload.params, V100.name)
         assert book.best(key).gflops >= first.gflops * 0.999
         assert second.gflops >= first.gflops * 0.999
+
+    def test_warm_start_from_another_shape_warns(self):
+        donor_workload = SUITES["C2D"][12]
+        donor = tune_workload(donor_workload, V100, trials=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the donor's own shape encodes
+            optimize(donor_workload.build(), V100, trials=2, seed=1,
+                     warm_start=donor.config)
+        # Another shape's split factors do not fit this shape's space:
+        # optimize() searches without the warm start, and says so.
+        output = SUITES["C2D"][11].build()
+        with pytest.warns(UserWarning, match="warm_start dropped"):
+            warm = optimize(output, V100, trials=2, seed=0, warm_start=donor.config)
+        cold = optimize(output, V100, trials=2, seed=0)
+        assert warm.tuning.best_point == cold.tuning.best_point
+        assert warm.tuning.curve == cold.tuning.curve
 
     def test_without_records_still_works(self):
         result = tune_workload(SUITES["GMM"][0], V100, trials=3, seed=0)
