@@ -13,6 +13,11 @@ uniform arm (``tune_network(allocate=False)``) spends an identical
 per-layer budget with the same measurement accounting, so the
 scheduler's claim — equal-or-better latency at materially fewer real
 measurements — is asserted here alongside the paper shape.
+
+The ``flex_ms <= uniform_ms`` assertion holds at seed 0 only, and only
+because of one multi-start restart on YOLO-v1 (allocated/uniform 0.9978;
+1.0014 with ``max_restarts=0``).  At seeds 1-2 the allocated arm is 1-12%
+slower on both networks; see docs/network.md.
 """
 
 from conftest import once, print_table, save_results

@@ -343,17 +343,18 @@ def tune_network_command(args) -> int:
     device = DEVICES[args.device]
     store = Path(args.store)
     store.mkdir(parents=True, exist_ok=True)
+    allocated = {} if args.uniform else {
+        "checkpoint_dir": store / "network-checkpoints" / args.network,
+        "resume": args.resume,
+    }
+    if args.slice_trials is not None:
+        allocated["slice_trials"] = args.slice_trials
     result = tune_network(
         network, device, trials=args.trials, method=args.method, seed=args.seed,
         allocate=not args.uniform,
         records=store / RECORDS_FILENAME,
         eval_cache=store / EVALCACHE_DIRNAME,
-        checkpoint_dir=store / "network-checkpoints" / args.network,
-        resume=args.resume,
-        **(
-            {"slice_trials": args.slice_trials}
-            if not args.uniform and args.slice_trials is not None else {}
-        ),
+        **allocated,
     )
     print(result.summary())
     if not result.found:
@@ -400,6 +401,11 @@ def main(argv=None) -> int:
         if value is not None and value is not False and args.operator != command:
             parser.error(f"--{dest.replace('_', '-')} applies to "
                          f"'{command}' only, not '{args.operator}'")
+    for flag, given in (("--resume", args.resume),
+                        ("--slice-trials", args.slice_trials is not None)):
+        if args.uniform and given:
+            parser.error(f"{flag} has no effect with --uniform: the uniform "
+                         "baseline has no scheduler and keeps no checkpoints")
     if args.operator == "lint":
         return lint_command(args)
     if args.operator == "serve":

@@ -23,7 +23,7 @@ unified against the op's inner body with
 
 Legality is then split between the static match (config-independent,
 memoized per op) and :func:`tensorize_rejections`, the **single source of
-truth** consulted by both ``schedule.lower._annotate`` (raises
+truth** consulted by both ``schedule.lower.schedule_facts`` (raises
 ``LoweringError``) and the ``TEN`` lint rules in
 :mod:`repro.analysis.lint`.  A TEN error diagnostic is therefore a proof
 of lowering failure by construction — PR 3's soundness contract extends
@@ -50,19 +50,9 @@ from ..ir import (
     TensorRef,
     stride_of,
 )
-from ..schedule import (
-    REORDER_INTERLEAVED,
-    REORDER_REDUCE_INNER,
-    REORDER_SPATIAL_INNER,
-    NodeConfig,
-)
+from ..schedule import NodeConfig
+from ..schedule.lower import INNER_REDUCE_PART, INNER_SPATIAL_PART, inner_role_order
 from .intrin import INTRINSICS, STRIDE_ALL, IntrinsicSpec
-
-#: Inner (register-tile) spatial split part per target; reduce-inner is
-#: part 1 on both.  FPGA has no intrinsic backend.
-INNER_SPATIAL_PART = {"cpu": 2, "gpu": 3}
-INNER_REDUCE_PART = 1
-
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -238,32 +228,6 @@ def covered_inner_roles(op: ComputeOp, name: str, target: str) -> Tuple[Tuple, .
     return tuple(roles)
 
 
-def inner_role_order(op: ComputeOp, config: NodeConfig, target: str) -> List[Tuple]:
-    """Roles of the per-core/per-thread tile loops, outermost first.
-
-    Replicates ``schedule.lower._order_inner`` over role tuples: the full
-    lowered nest always ends with this list, so its suffix is the nest's
-    innermost suffix.
-    """
-    spatial_part = INNER_SPATIAL_PART[target]
-    reduce_outer = [("reduce", i, 0) for i in range(len(op.reduce_axes))]
-    reduce_inner = [("reduce", i, INNER_REDUCE_PART)
-                    for i in range(len(op.reduce_axes))]
-    spatial_inner = [("spatial", i, spatial_part) for i in range(len(op.axes))]
-    if config.reorder == REORDER_REDUCE_INNER:
-        return reduce_outer + spatial_inner + reduce_inner
-    if config.reorder == REORDER_SPATIAL_INNER:
-        return reduce_outer + reduce_inner + spatial_inner
-    if config.reorder == REORDER_INTERLEAVED:
-        if spatial_inner:
-            return (
-                reduce_outer + spatial_inner[:-1] + reduce_inner
-                + [spatial_inner[-1]]
-            )
-        return reduce_outer + reduce_inner
-    raise ValueError(f"unknown reorder choice {config.reorder}")
-
-
 def _inner_factor(config: NodeConfig, role: Tuple) -> int:
     kind, idx, part = role
     factors = config.spatial_factors if kind == "spatial" else config.reduce_factors
@@ -276,7 +240,7 @@ def tensorize_rejections(
     """Why ``config.tensorize`` cannot be applied: ``(rule, message, hint)``.
 
     Empty iff lowering will apply the intrinsic.  This function is the one
-    legality oracle: ``schedule.lower._annotate`` raises ``LoweringError``
+    legality oracle: ``schedule.lower.schedule_facts`` raises ``LoweringError``
     exactly when it is non-empty, and the TEN lint rules emit exactly its
     entries — so a TEN error diagnostic is a proof of lowering failure.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from ..schedule import Scheduled
+from ..schedule import ScheduleFacts
 
 #: Estimate returned for configurations a real toolchain would reject
 #: (too many threads, shared memory over budget, ...).  Finite so that the
@@ -37,14 +37,17 @@ class PerformanceModel(ABC):
         return self.spec.name
 
     @abstractmethod
-    def estimate_seconds(self, scheduled: Scheduled) -> float:
-        """Predicted kernel time in seconds (``INVALID_TIME`` if illegal)."""
+    def estimate_seconds(self, scheduled: ScheduleFacts) -> float:
+        """Predicted kernel time in seconds (``INVALID_TIME`` if illegal).
+
+        ``scheduled`` is a point's :class:`ScheduleFacts`, or a lowered
+        :class:`~repro.schedule.Scheduled`, which carries the same facts."""
 
     @abstractmethod
     def measurement_seconds(self, runtime: float) -> float:
         """Simulated wall-clock cost of obtaining one measurement."""
 
-    def gflops(self, scheduled: Scheduled) -> float:
+    def gflops(self, scheduled: ScheduleFacts) -> float:
         """Achieved GFLOPS under the model's time estimate."""
         from ..codegen import flops_of
 

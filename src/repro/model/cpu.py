@@ -7,7 +7,9 @@ imbalance); the innermost split factor is the vectorization length (AVX2
 fits 8 fp32 lanes — the paper notes tuned schedules converge to 8); tile
 shapes set the per-core working set against the cache hierarchy; reorder
 decides whether the vector unit runs over spatial (good) or reduction
-(horizontal-add penalty) loops.
+(horizontal-add penalty) loops.  The inputs are the schedule facts of a
+point (:func:`repro.schedule.schedule_facts`: the vectorized loop's extent
+and role) plus its config, so pricing needs no loop nest.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from ..schedule import (
     REORDER_INTERLEAVED,
     REORDER_REDUCE_INNER,
     REORDER_SPATIAL_INNER,
-    Scheduled,
-    VECTORIZE,
+    ScheduleFacts,
 )
 from .base import INVALID_TIME, PerformanceModel
 from .resources import tensorize_rate
@@ -48,7 +49,7 @@ class CpuModel(PerformanceModel):
         spec = self.spec
         return spec.compile_seconds + spec.run_repeats * max(runtime, 1e-5) + 0.1
 
-    def estimate_seconds(self, scheduled: Scheduled) -> float:
+    def estimate_seconds(self, scheduled: ScheduleFacts) -> float:
         """Predicted kernel seconds under the multicore/SIMD model."""
         if scheduled.target != "cpu":
             raise ValueError(f"CPU model got a {scheduled.target!r} schedule")
@@ -64,13 +65,10 @@ class CpuModel(PerformanceModel):
 
         # Vectorization of the innermost loop.
         vector_eff = 1.0 / spec.vector_lanes  # scalar baseline
-        vector_loops = [l for l in scheduled.loops if l.annotation == VECTORIZE]
-        if vector_loops:
-            loop = vector_loops[-1]
-            length = loop.extent
+        if scheduled.vector_loop is not None:
+            length, role = scheduled.vector_loop
             lanes = spec.vector_lanes
             utilization = length / (math.ceil(length / lanes) * lanes)
-            role = loop.role
             if isinstance(role[0], tuple):  # a fused loop: judge by its innermost part
                 role = role[-1]
             kind, axis_idx = role[0], role[1]

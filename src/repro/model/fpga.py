@@ -19,7 +19,7 @@ from typing import Dict
 
 from ..analysis.lint import fpga_bram_bytes, fpga_num_pes
 from ..codegen import flops_of, tile_footprint
-from ..schedule import Scheduled
+from ..schedule import ScheduleFacts
 from .base import INVALID_TIME, PerformanceModel
 from .specs import FpgaSpec
 
@@ -37,7 +37,7 @@ class FpgaModel(PerformanceModel):
         # Candidates are scored by the analytical model, never synthesized.
         return self.spec.model_query_seconds
 
-    def estimate_seconds(self, scheduled: Scheduled) -> float:
+    def estimate_seconds(self, scheduled: ScheduleFacts) -> float:
         """The §5.2 pipeline equation under DSP/BRAM constraints."""
         if scheduled.target != "fpga":
             raise ValueError(f"FPGA model got a {scheduled.target!r} schedule")

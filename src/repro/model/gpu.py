@@ -4,8 +4,10 @@ Substitutes for real measurement on V100 / P100 / Titan X (see DESIGN.md).
 The model charges the two classical terms — compute throughput degraded by
 occupancy, warp granularity and instruction-level parallelism, and memory
 traffic degraded by coalescing — and takes their max per wave of thread
-blocks, plus kernel launch overhead.  All inputs come from the lowered
-schedule, so the knobs FlexTensor tunes (tiling, binding, shared-memory
+blocks, plus kernel launch overhead.  The inputs are the schedule facts of
+a point (:func:`repro.schedule.schedule_facts`: grid size, block threads,
+cached tensors, the vectorized loop) plus its config, so pricing needs no
+loop nest, and the knobs FlexTensor tunes (tiling, binding, shared-memory
 caching, unroll, reorder, vectorize) all move the estimate the way they
 move real kernels:
 
@@ -32,8 +34,7 @@ from ..schedule import (
     REORDER_INTERLEAVED,
     REORDER_REDUCE_INNER,
     REORDER_SPATIAL_INNER,
-    Scheduled,
-    VECTORIZE,
+    ScheduleFacts,
 )
 from .base import INVALID_TIME, PerformanceModel
 from .resources import tensorize_rate
@@ -63,7 +64,7 @@ class GpuModel(PerformanceModel):
 
     # -- the model --------------------------------------------------------
 
-    def estimate_seconds(self, scheduled: Scheduled) -> float:
+    def estimate_seconds(self, scheduled: ScheduleFacts) -> float:
         """Predicted kernel seconds under the occupancy/coalescing model."""
         if scheduled.target != "gpu":
             raise ValueError(f"GPU model got a {scheduled.target!r} schedule")
@@ -150,7 +151,8 @@ class GpuModel(PerformanceModel):
         store_coalesce = _store_coalescing(op, thread_axis, run_threads)
         store_bytes = op.output.size * _DTYPE_BYTES / store_coalesce
         vector_boost = 1.0
-        if any(l.annotation == VECTORIZE and l.extent % 4 == 0 for l in scheduled.loops):
+        vector_loop = scheduled.vector_loop
+        if vector_loop is not None and vector_loop[0] % 4 == 0:
             vector_boost = 1.08  # float4 transactions
         memory_time = (traffic + store_bytes) / (
             spec.bandwidth_gbs * 1e9 * vector_boost
@@ -172,7 +174,7 @@ class GpuModel(PerformanceModel):
         )
         return kernel_time + spec.kernel_launch_us * 1e-6
 
-    def _fastest_thread_axis(self, scheduled: Scheduled):
+    def _fastest_thread_axis(self, scheduled: ScheduleFacts):
         """(axis, run length): the original axis whose thread part varies
         fastest inside the fused threadIdx (the last axis with a thread
         factor > 1) and how many consecutive threads walk it."""

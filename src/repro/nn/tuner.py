@@ -1047,15 +1047,22 @@ def tune_network(
         **scheduler_kwargs: :class:`NetworkTaskScheduler` knobs
             (``slice_trials``, ``round_slots``, ``starve_rounds``,
             ``patience``, ``cap_boost``, ...) plus any
-            :func:`~repro.optimize.optimize` tuner options.  The knobs
-            are rejected with ``TypeError`` when ``allocate=False``.
+            :func:`~repro.optimize.optimize` tuner options.  The knobs,
+            and ``checkpoint_dir``, ``resume`` and ``chaos``, are rejected
+            with ``TypeError`` when ``allocate=False``: the uniform
+            baseline has no scheduler and keeps no checkpoints.
     """
     if not allocate:
-        knobs = sorted(set(scheduler_kwargs) & SCHEDULER_KNOBS)
-        if knobs:
+        ignored = sorted(set(scheduler_kwargs) & SCHEDULER_KNOBS) + [
+            name for name, given in (
+                ("checkpoint_dir", checkpoint_dir is not None),
+                ("resume", resume),
+                ("chaos", chaos is not None),
+            ) if given
+        ]
+        if ignored:
             raise TypeError(
-                f"scheduler knobs have no effect with allocate=False: "
-                f"{', '.join(knobs)}"
+                f"no effect with allocate=False: {', '.join(ignored)}"
             )
         return _tune_uniform(
             network, device_spec, trials=trials, method=method, fuse=fuse,

@@ -33,7 +33,7 @@ from ..runtime import (
     MeasureConfig,
     materialization_seconds,
 )
-from ..schedule import GraphConfig, NodeConfig, Scheduled, lower
+from ..schedule import GraphConfig, NodeConfig, Scheduled, lower, schedule_facts
 from ..space import ScheduleSpace, build_space
 
 _TUNERS = {
@@ -127,12 +127,14 @@ def _schedule_for_graph(
     if not helpers:
         return base
     decisions = dict(base.inline)
+    # Inline decisions do not change what the model reads of the main
+    # node's schedule, so one set of facts prices every trial.
+    facts = schedule_facts(graph.main_op, config, target)
     for helper in helpers:
         candidates = {}
         for inline in (True, False):
             trial = GraphConfig(inline={**decisions, helper.name: inline})
-            scheduled = lower(graph, config, target, trial)
-            seconds = evaluator.model.estimate_seconds(scheduled)
+            seconds = evaluator.model.estimate_seconds(facts)
             seconds += materialization_seconds(graph, trial, evaluator.device_spec)
             candidates[inline] = seconds
         decisions[helper.name] = min(candidates, key=candidates.get)

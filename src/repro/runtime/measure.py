@@ -2,9 +2,10 @@
 
 The paper's back-end obtains a performance value E for each visited point
 either by running on the device or by querying an analytical model (§5.2).
-Here the :class:`Evaluator` plays both roles: it lowers a space point,
-asks the device's performance model for the kernel time, converts it to a
-performance value (GFLOPS, higher is better), memoizes it, and advances a
+Here the :class:`Evaluator` plays both roles: it derives a space point's
+schedule facts from its config (no loop nest is built), asks the device's
+performance model for the kernel time, converts it to a performance
+value (GFLOPS, higher is better), memoizes it, and advances a
 **simulated wall clock** by the cost of that measurement (compile +
 repeated runs on CPU/GPU; one model query on FPGA).  The clock drives the
 exploration-time comparisons of Figures 6d and 7.
@@ -29,7 +30,7 @@ from ..codegen import flops_of
 from ..graph import MiniGraph, get_graph
 from ..ir import format_operation
 from ..model import INVALID_TIME, PerformanceModel, model_for, target_of
-from ..schedule import GraphConfig, LoweringError, LoweringMemo, Scheduled, lower
+from ..schedule import GraphConfig, LoweringError, LoweringMemo, ScheduleFacts, schedule_facts
 from ..space import Point, ScheduleSpace, build_space
 from .cache import EvalCache
 from .fault import (
@@ -121,19 +122,16 @@ class MeasureStatus(enum.Enum):
 
     @property
     def ok(self) -> bool:
-        return self in (MeasureStatus.OK, MeasureStatus.FLAKY_RETRIED)
+        return self in _OK_STATUSES
 
     @property
     def permanent(self) -> bool:
-        """Whether re-measuring the same point can never help."""
-        return self in (
-            MeasureStatus.OK,
-            MeasureStatus.FLAKY_RETRIED,
-            MeasureStatus.LOWER_ERROR,
-            MeasureStatus.COMPILE_ERROR,
-            MeasureStatus.RUN_TIMEOUT,
-            MeasureStatus.ILLEGAL,
-        )
+        """Whether re-measuring the same point can never help: true of
+        every status but a transient device error."""
+        return self is not MeasureStatus.RUNTIME_ERROR
+
+
+_OK_STATUSES = (MeasureStatus.OK, MeasureStatus.FLAKY_RETRIED)
 
 
 #: A measurement's final outcome: (status, kernel seconds, attempts, error).
@@ -221,6 +219,7 @@ class Evaluator:
         linter: Optional["ScheduleLinter"] = None,
     ):
         self.graph: MiniGraph = output if isinstance(output, MiniGraph) else get_graph(output)
+        self._main_op = self.graph.main_op
         self.device_spec = device_spec
         self.target = target_of(device_spec)
         self.space = space or build_space(self.graph, self.target)
@@ -262,19 +261,18 @@ class Evaluator:
         self.linter = linter
         self.num_lint_rejects = 0
         self.lint_rule_counts: Dict[str, int] = {}
-        # Hot path (ISSUE #7): memoize the structural half of lowering
-        # across points sharing split/reorder/fuse decisions — a pure
-        # acceleration, results are bit-identical with or without it.
+        # Memoize the structural schedule facts across points sharing
+        # split/reorder/fuse decisions — a pure acceleration, results are
+        # bit-identical with or without it.
         self.lowering_memo = LoweringMemo()
 
     # -- evaluation --------------------------------------------------------
 
-    def lower_point(self, point: Point) -> Scheduled:
-        """Lower a space point to its scheduled loop nest."""
-        config = self.space.decode(point)
-        return lower(
-            self.graph, config, self.target, self.graph_config,
-            memo=self.lowering_memo,
+    def lower_point(self, point: Point) -> ScheduleFacts:
+        """The schedule facts a space point is priced from; no loop nest
+        is built (:func:`repro.schedule.lower` builds one when needed)."""
+        return schedule_facts(
+            self._main_op, self.space.decode(point), self.target, self.lowering_memo
         )
 
     def evaluate(self, point: Point) -> float:
@@ -463,15 +461,6 @@ class Evaluator:
         )
         return cost
 
-    def apply_outcome(
-        self, point: Point, outcome: Outcome, clock: Optional[float] = None
-    ) -> MeasureResult:
-        """Fold an :meth:`outcome` into evaluator state: attempt counts,
-        then :meth:`_finish` (clock, cache, records)."""
-        status, seconds, attempts, error = outcome
-        self._attempt_counts[point] = self._attempt_counts.get(point, 0) + attempts
-        return self._finish(point, status, seconds, attempts, error, clock=clock)
-
     def _attempt_at(
         self, point: Point, attempt_index: int
     ) -> Tuple[MeasureStatus, float, Optional[str]]:
@@ -513,22 +502,19 @@ class Evaluator:
             return MeasureStatus.RUN_TIMEOUT, seconds, "kernel exceeded timeout"
         return MeasureStatus.OK, seconds, None
 
-    def _finish(
-        self,
-        point: Point,
-        status: MeasureStatus,
-        seconds: float,
-        attempts: int,
-        error: Optional[str],
-        clock: Optional[float] = None,
+    def apply_outcome(
+        self, point: Point, outcome: Outcome, clock: Optional[float] = None
     ) -> MeasureResult:
-        """Charge the clock, classify, cache, and record one measurement.
+        """Fold an :meth:`outcome` into evaluator state: attempt counts,
+        then charge the clock, classify, cache, and record the measurement.
 
         ``clock=None`` is the serial path: the evaluator's own clock
         advances by the (capped) measurement cost.  The batch engine
         passes an explicit simulated completion time instead — worker
         costs overlap, so the engine owns the clock arithmetic.
         """
+        status, seconds, attempts, error = outcome
+        self._attempt_counts[point] = self._attempt_counts.get(point, 0) + attempts
         config = self.measure_config
         if status is MeasureStatus.OK and attempts > 1:
             status = MeasureStatus.FLAKY_RETRIED
@@ -543,15 +529,16 @@ class Evaluator:
             self.clock += self.model.measurement_seconds(min(seconds, config.charge_cap))
             clock = self.clock
         self.num_measurements += 1
+        value = status.value
         if status.permanent:
             self.cache[point] = performance
             canon = self.canonical_key(point)
             self._canon_index.setdefault(canon, point)
             if self.eval_cache is not None:
-                self.eval_cache.put(self.op_signature(), canon, performance, status.value)
+                self.eval_cache.put(self.op_signature(), canon, performance, value)
         else:
             self._record_failure(point)
-        self.status_counts[status.value] = self.status_counts.get(status.value, 0) + 1
+        self.status_counts[value] = self.status_counts.get(value, 0) + 1
         result = MeasureResult(
             point, performance, seconds, clock, self.num_measurements,
             status=status, attempts=attempts, error=error,

@@ -8,6 +8,7 @@ from .config import (
     REORDER_REDUCE_INNER,
     REORDER_SPATIAL_INNER,
     UNROLL_CHOICES,
+    check_choice,
 )
 from .loopnest import (
     ANNOTATIONS,
@@ -33,23 +34,25 @@ from .lower import (
     FPGA_SPATIAL_PARTS,
     GPU_REDUCE_PARTS,
     GPU_SPATIAL_PARTS,
-    LoweredStructure,
     LoweringError,
     LoweringMemo,
+    ScheduleFacts,
     TARGETS,
     lower,
+    schedule_facts,
     structural_key,
 )
 
 __all__ = [
     "ANNOTATIONS", "BLOCK_X", "CPU_REDUCE_PARTS", "CPU_SPATIAL_PARTS",
     "FPGA_SPATIAL_PARTS", "GPU_REDUCE_PARTS", "GPU_SPATIAL_PARTS",
-    "GraphConfig", "LoopDef", "LoweredStructure", "LoweringError",
+    "GraphConfig", "LoopDef", "LoweringError",
     "LoweringMemo", "NodeConfig", "PARALLEL",
     "PE_PARALLEL", "REORDER_CHOICES", "REORDER_INTERLEAVED",
-    "REORDER_REDUCE_INNER", "REORDER_SPATIAL_INNER", "SERIAL", "Scheduled",
+    "REORDER_REDUCE_INNER", "REORDER_SPATIAL_INNER", "SERIAL", "ScheduleFacts", "Scheduled",
     "TARGETS", "TENSORIZE", "THREAD_X", "UNROLL", "UNROLL_CHOICES",
-    "VECTORIZE", "VTHREAD",
-    "fuse_loops", "lower", "split_axis", "structural_key", "substitute_vars",
+    "VECTORIZE", "VTHREAD", "check_choice",
+    "fuse_loops", "lower", "schedule_facts", "split_axis", "structural_key",
+    "substitute_vars",
     "ScheduleValidationError", "quick_report", "validate_schedule",
 ]

@@ -9,7 +9,7 @@ nodes to inline) produced by ``Schedule_for_graph`` in Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Dict, Tuple
 
 #: Reorder choices for the innermost tile (which loops end up innermost).
@@ -48,15 +48,21 @@ class NodeConfig:
     fpga_buffer_lines: int = 1    # input rows buffered per round
 
     def __post_init__(self):
-        if self.reorder not in REORDER_CHOICES:
-            raise ValueError(f"unknown reorder choice {self.reorder}")
-        if self.unroll_depth not in UNROLL_CHOICES:
-            raise ValueError(f"unknown unroll depth {self.unroll_depth}")
-        if self.fuse_levels < 1:
-            raise ValueError("fuse_levels must be >= 1")
+        for name in ("reorder", "unroll_depth", "fuse_levels"):
+            check_choice(name, getattr(self, name))
         for factors in tuple(self.spatial_factors) + tuple(self.reduce_factors):
-            if min(factors, default=1) < 1:
-                raise ValueError(f"split factors must be positive, got {factors}")
+            check_choice("spatial_factors", factors)
+
+    @classmethod
+    def unchecked(cls, values: Dict) -> "NodeConfig":
+        """A config from field values already checked with
+        :func:`check_choice` (a schedule space checks every knob choice
+        once when it is built), skipping ``__post_init__``."""
+        config = object.__new__(cls)
+        fields_ = config.__dict__
+        fields_.update(_DEFAULTS)
+        fields_.update(values)
+        return config
 
     def with_(self, **changes) -> "NodeConfig":
         """A copy with the given fields replaced."""
@@ -82,6 +88,23 @@ class NodeConfig:
             ]
         )
         return tuple(flat)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(NodeConfig) if f.default is not MISSING}
+
+
+def check_choice(field_name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a legal setting of the
+    :class:`NodeConfig` field; for the split fields, ``value`` is one
+    axis's factor tuple."""
+    if field_name == "reorder" and value not in REORDER_CHOICES:
+        raise ValueError(f"unknown reorder choice {value}")
+    if field_name == "unroll_depth" and value not in UNROLL_CHOICES:
+        raise ValueError(f"unknown unroll depth {value}")
+    if field_name == "fuse_levels" and value < 1:
+        raise ValueError("fuse_levels must be >= 1")
+    if field_name in ("spatial_factors", "reduce_factors") and min(value, default=1) < 1:
+        raise ValueError(f"split factors must be positive, got {value}")
 
 
 @dataclass(frozen=True)

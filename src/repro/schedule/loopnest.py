@@ -114,6 +114,14 @@ class Scheduled:
         return max(self.extent_product(PARALLEL), self.extent_product(PE_PARALLEL))
 
     @property
+    def vector_loop(self) -> Optional[Tuple[int, Tuple]]:
+        """``(extent, role)`` of the innermost VECTORIZE loop, or None."""
+        for loop in reversed(self.loops):
+            if loop.annotation == VECTORIZE:
+                return loop.extent, loop.role
+        return None
+
+    @property
     def iteration_count(self) -> int:
         total = 1
         for loop in self.loops:

@@ -1,6 +1,17 @@
 """Lowering schedule configurations to loop nests (§5.3, Figure 4).
 
-One lowering function per target, mirroring the paper's hardware-specific
+Two entry points share one set of lowering rules:
+
+* :func:`schedule_facts` prices a point.  From the config alone it
+  derives what the performance models read of a lowered schedule — grid
+  size, block threads, parallel/PE extent, cached tensors and the
+  innermost vectorized loop — and raises what lowering would raise,
+  without building a loop nest.  The evaluator calls it once per
+  measured point, like the paper's one analytical-model query (§5.2).
+* :func:`lower` builds the full loop nest (loops, index map, primitive
+  trace) for code generation, interpretation and validation.
+
+One lowering per target, mirroring the paper's hardware-specific
 schedule generation:
 
 * **CPU** (Fig. 4a) — multi-level tiling (3-part splits), dynamic fusion of
@@ -21,10 +32,11 @@ paper's pre-determined decision for data-rearrangement nodes.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graph import MiniGraph, get_graph
 from ..ir import ComputeOp, Expr, IterVar, Reduce, Var
@@ -58,10 +70,17 @@ FPGA_SPATIAL_PARTS = 2
 
 TARGETS = ("gpu", "cpu", "fpga")
 
-#: ``(var, extent, role, annotation)``: a :class:`LoopDef` before it is
-#: built; the structural phase works in these, :func:`_annotate` builds
-#: each schedule's loops from them.
-LoopSpec = Tuple[Var, int, Tuple, str]
+#: Split parts per target: (spatial, reduce).
+_PARTS = {
+    "gpu": (GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS),
+    "cpu": (CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS),
+    "fpga": (FPGA_SPATIAL_PARTS, 1),
+}
+
+#: Inner (register-tile) spatial split part per target; reduce-inner is
+#: part 1 on both.  FPGA has no inner tile.
+INNER_SPATIAL_PART = {"cpu": 2, "gpu": 3}
+INNER_REDUCE_PART = 1
 
 
 class LoweringError(ValueError):
@@ -74,20 +93,16 @@ class LazyIndexMap(Mapping):
 
     The axis -> expression reconstruction is the most expensive part of
     lowering (building the split re-composition expressions, tree-walking
-    ``substitute_vars`` per fused loop, then ``simplify``), yet the
-    performance models never read it — only code generation,
-    interpretation and schedule validation do.  The structural phase
+    ``substitute_vars`` per fused loop, then ``simplify``), yet only code
+    generation, interpretation and schedule validation read it.  Lowering
     therefore records only *recipes*: per axis the ``(var, extent)``
     chain of its split loops, plus per fused loop the ``(fused_var,
     parts)`` pair.  Keys are known up front (the op's axes), so
     membership checks and ``len`` are free; the first
-    ``[]``/``items()``/``values()`` builds the expressions exactly as the
-    eager path would (same construction order, same substitution order,
-    same ``simplify`` pass) and caches them for every subsequent read.
-    Instances are read-only (a write raises ``TypeError``) and shared
-    across all :class:`Scheduled` objects built from one structure, so
-    each unique loop structure pays for reconstruction at most once per
-    process.
+    ``[]``/``items()``/``values()`` builds the expressions (construction,
+    then substitution in fuse order, then one ``simplify`` pass) and
+    caches them for every subsequent read.  Instances are read-only: a
+    write raises ``TypeError``.
     """
 
     __slots__ = ("_split_specs", "_fuse_specs", "_final")
@@ -143,32 +158,30 @@ class LazyIndexMap(Mapping):
         return axis in self._split_specs
 
 
-@dataclass(frozen=True)
-class LoweredStructure:
-    """The reusable (annotation-independent) half of a lowered schedule.
+class ScheduleFacts(NamedTuple):
+    """What the performance models read of a lowered schedule.
 
-    Lowering splits into two phases: the *structural* phase — axis
-    splits, loop fusion, reorder, index-expression reconstruction, which
-    depends only on :func:`structural_key` — and the cheap *annotation*
-    phase (vectorize / unroll marking, cache declarations, config-valued
-    primitives).  Two configs sharing a structural key share one
-    ``LoweredStructure``; each gets fresh :class:`LoopDef` objects
-    (annotations are mutated in place) while the ``Var`` objects and the
-    (lazy, materialize-once) index map are shared.
+    :func:`schedule_facts` computes these from the config alone; a
+    :class:`Scheduled` carries the same attributes, derived from its
+    loops, so a model prices either one.
     """
 
-    loop_specs: Tuple[LoopSpec, ...]
-    index_map: LazyIndexMap                  # shared across Scheduled uses
-    primitives: Tuple[str, ...]              # structural trace prefix
-    has_inner: bool                          # GPU: inner tile loops exist
+    op: ComputeOp
+    target: str
+    config: NodeConfig
+    grid_size: int          # GPU thread blocks (1 off-GPU)
+    block_threads: int      # threads per GPU block (1 off-GPU)
+    parallel_extent: int    # CPU parallel chunks / FPGA PEs (1 on GPU)
+    cached_tensors: Tuple   # inputs staged in shared memory / BRAM
+    vector_loop: Optional[Tuple[int, Tuple]]  # innermost VECTORIZE (extent, role)
 
 
 def structural_key(config: NodeConfig, target: str) -> Tuple:
-    """Hashable identity of the structural phase of lowering ``config``.
+    """Hashable identity of the structural half of lowering ``config``.
 
-    Annotation knobs (unroll / vectorize / shared, FPGA pipeline /
-    partition / buffer) are deliberately excluded: points differing only
-    in them lower to the same loop nest and index map.
+    Annotation knobs (unroll / vectorize / shared / tensorize, FPGA
+    pipeline / partition / buffer) are deliberately excluded: points
+    differing only in them lower to the same loop nest and index map.
     """
     if target == "gpu":
         return (
@@ -185,30 +198,23 @@ def structural_key(config: NodeConfig, target: str) -> Tuple:
 
 
 class LoweringMemo:
-    """Bounded LRU of :class:`LoweredStructure` keyed by structural key.
+    """Bounded LRU of structural facts keyed by :func:`structural_key`.
 
     One memo per evaluator (op, target and graph config are fixed
-    there), so the key does not need to repeat them.  Configurations
-    that fail to lower are never cached — they re-raise on every
-    attempt, exactly like the unmemoized path.
-
-    Below the structures it keeps the per-axis splits they are built
-    from: ``splits`` maps ``(axis, kind, index, factors)`` to the split's
-    loop specs, its index-map recipe and its primitive string, so a
-    structural miss whose axes were all split before builds no ``Var``
-    and formats no split primitive.  It holds one entry per distinct
-    factor tuple of each axis, so it is bounded by the space's split
-    knobs.
+    there), so the key does not need to repeat them.  An entry holds the
+    annotation-independent half of :class:`ScheduleFacts`: grid size,
+    block threads, parallel extent and the innermost tile loop.
+    Configurations that fail to lower are never cached — they re-raise
+    on every attempt, exactly like the unmemoized path.
     """
 
     def __init__(self, capacity: int = 1024):
         self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[Tuple, LoweredStructure]" = OrderedDict()
-        self.splits: Dict[Tuple, Tuple] = {}
+        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple) -> Optional[LoweredStructure]:
+    def get(self, key: Tuple) -> Optional[Tuple]:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -217,7 +223,7 @@ class LoweringMemo:
             self.misses += 1
         return entry
 
-    def put(self, key: Tuple, structure: LoweredStructure) -> None:
+    def put(self, key: Tuple, structure: Tuple) -> None:
         self._entries[key] = structure
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -236,21 +242,120 @@ class LoweringMemo:
         }
 
 
+def schedule_facts(
+    op: ComputeOp,
+    config: NodeConfig,
+    target: str,
+    memo: Optional[LoweringMemo] = None,
+) -> ScheduleFacts:
+    """The facts the models price of ``op`` lowered under ``config``,
+    computed without building the loop nest.
+
+    Raises what :func:`lower` raises for the same config, with the same
+    text.  With a ``memo``, the structural half is reused across configs
+    that share a :func:`structural_key`.
+    """
+    if memo is None:
+        structure = _structural_facts(op, config, target)
+    else:
+        key = structural_key(config, target)
+        structure = memo.get(key)
+        if structure is None:
+            structure = _structural_facts(op, config, target)
+            memo.put(key, structure)
+    grid, threads, parallel, innermost = structure
+    tensorized = config.tensorize and _check_tensorize(op, config, target)
+    # The intrinsic subsumes vectorize; the GPU vectorizes only a spatial loop.
+    vectorized = (
+        target != "fpga" and not tensorized and config.vectorize
+        and (target == "cpu" or innermost[1][0] == "spatial")
+    )
+    # Shared-memory tiles on the GPU, BRAM line buffers on the FPGA.
+    cached = op.input_tensors if target == "fpga" or (
+        target == "gpu" and config.use_shared) else ()
+    return ScheduleFacts(
+        op, target, config, grid, threads, parallel, tuple(cached),
+        innermost if vectorized else None,
+    )
+
+
+def _structural_facts(op: ComputeOp, config: NodeConfig, target: str) -> Tuple:
+    """``(grid, threads, parallel, innermost)`` of the loop nest, after
+    the checks lowering makes, in its order.  ``innermost`` is the last
+    loop's ``(extent, role)`` (None on FPGA, which never vectorizes)."""
+    if target not in _PARTS:
+        raise LoweringError(f"unknown target {target!r}; expected one of {TARGETS}")
+    _check_parts(config, op, *_PARTS[target])
+    if target == "cpu" and config.fuse_levels > len(op.axes):
+        raise LoweringError(
+            f"fuse_levels {config.fuse_levels} exceeds spatial axes {len(op.axes)}"
+        )
+    all_factors = tuple(config.spatial_factors) + tuple(config.reduce_factors)
+    for axis, factors in zip(op.all_axes, all_factors):
+        if math.prod(factors) != axis.extent:
+            raise ValueError(
+                f"split factors {tuple(factors)} do not multiply to extent "
+                f"{axis.extent} of {axis.name}"
+            )
+    if not op.axes:
+        raise ValueError("cannot fuse zero loops")
+    spatial = config.spatial_factors
+    if target == "fpga":
+        pes = 1
+        for factors in spatial:
+            pes *= factors[1]
+        return 1, 1, pes, None
+    if target == "cpu":
+        chunks = 1
+        for factors in spatial[: config.fuse_levels]:
+            chunks *= factors[0]
+        return 1, 1, chunks, _innermost(op, config, target)
+    grid = threads = 1
+    for factors in spatial:
+        grid *= factors[0]
+        threads *= factors[2]
+    return grid, threads, 1, _innermost(op, config, target)
+
+
+def _innermost(op: ComputeOp, config: NodeConfig, target: str) -> Tuple[int, Tuple]:
+    roles = _role_order(len(op.axes), len(op.reduce_axes), config.reorder, target)
+    kind, idx, part = role = roles[-1]
+    factors = config.spatial_factors if kind == "spatial" else config.reduce_factors
+    return factors[idx][part], role
+
+
+def _check_tensorize(op: ComputeOp, config: NodeConfig, target: str) -> bool:
+    """True when the set ``tensorize`` knob applies; raises when it is
+    illegal.
+
+    Legality comes from :func:`repro.analysis.match.tensorize_rejections`
+    — the same oracle the TEN lint rules report — so a lint error is a
+    proof this raises, and vice versa.
+    """
+    from ..analysis.match import tensorize_rejections
+
+    rejections = tensorize_rejections(op, config, target)
+    if rejections:
+        raise LoweringError(
+            "illegal tensorize: "
+            + "; ".join(f"{rule}: {message}" for rule, message, _hint in rejections)
+        )
+    return True
+
+
 def lower(
     output,
     config: NodeConfig,
     target: str,
     graph_config: Optional[GraphConfig] = None,
-    memo: Optional[LoweringMemo] = None,
 ) -> Scheduled:
     """Lower the main node of ``output``'s graph under ``config``.
 
     ``output`` may be a tensor or a :class:`MiniGraph`.  Helper compute
     nodes are inlined according to ``graph_config`` (all inlined by
-    default).  With a ``memo``, the structural phase (splits, fusion,
-    reorder, index simplification) is reused across configs that differ
-    only in annotation knobs; the result is bit-identical to the
-    unmemoized path (pinned by ``tests/test_hotpath_parity.py``).
+    default).  The checks, the vectorized loop and the cached tensors
+    come from :func:`schedule_facts`, so a lowered schedule prices
+    exactly like its facts.
     """
     graph = output if isinstance(output, MiniGraph) else get_graph(output)
     graph_config = graph_config or GraphConfig()
@@ -262,144 +367,55 @@ def lower(
         and graph_config.should_inline(op.name)
         and not isinstance(op.body, Reduce)  # reductions cannot be inlined
     )
-    if memo is None:
-        structure = _structural_lower(main, config, target, None)
-    else:
-        key = structural_key(config, target)
-        structure = memo.get(key)
-        if structure is None:
-            structure = _structural_lower(main, config, target, memo.splits)
-            memo.put(key, structure)
-    scheduled = _annotate(main, structure, config, target)
-    scheduled.inlined = inlined
-    for op in inlined:
-        scheduled.primitives.append(f"inline {op.name}")
-    return scheduled
-
-
-def _structural_lower(
-    op: ComputeOp, config: NodeConfig, target: str, splits: Optional[Dict]
-) -> LoweredStructure:
-    """Run the expensive half of lowering and freeze it for reuse.
-
-    ``splits`` is the memo's per-axis split table (None: split afresh)."""
-    if target == "gpu":
-        loops, raw, recoveries, primitives, has_inner = _structural_gpu(op, config, splits)
-    elif target == "cpu":
-        loops, raw, recoveries, primitives = _structural_cpu(op, config, splits)
-        has_inner = len(loops) > 1
-    elif target == "fpga":
-        loops, raw, recoveries, primitives = _structural_fpga(op, config, splits)
-        has_inner = False
-    else:
-        raise LoweringError(f"unknown target {target!r}; expected one of {TARGETS}")
-    # Fuse-recovery substitution and simplification (the cleanup that
-    # lets generated code and interpretation avoid no-op arithmetic) are
-    # deferred: the performance models never read the index map, so
-    # model-driven tuning skips that cost entirely.
-    index_map = LazyIndexMap(raw, recoveries)
-    return LoweredStructure(
-        loop_specs=tuple(loops),
-        index_map=index_map,
-        primitives=tuple(primitives),
-        has_inner=has_inner,
-    )
-
-
-def _annotate(
-    op: ComputeOp, structure: LoweredStructure, config: NodeConfig, target: str
-) -> Scheduled:
-    """Apply the cheap, annotation-knob-dependent tail of lowering to a
-    fresh clone of the structural loop nest."""
-    loops = _fresh_loops(structure.loop_specs)
-    primitives = list(structure.primitives)
-    cached: Tuple = ()
-    tensorized = _apply_tensorize(op, loops, config, target, primitives)
-    if target == "gpu":
-        if (
-            not tensorized
-            and config.vectorize
-            and structure.has_inner
-            and loops[-1].role[0] == "spatial"
-        ):
-            loops[-1].annotation = VECTORIZE
-            primitives.append(f"vectorize {loops[-1].var.name}")
-        _mark_unroll(loops, config.unroll_depth)
-        if config.unroll_depth:
-            primitives.append(f"unroll depth {config.unroll_depth}")
-        cached = op.input_tensors if config.use_shared else ()
-        for tensor in cached:
-            primitives.append(f"cache {tensor.name} in shared memory")
-    elif target == "cpu":
-        if not tensorized and config.vectorize and len(loops) > 1:
-            loops[-1].annotation = VECTORIZE
-            primitives.append(f"vectorize {loops[-1].var.name}")
-        _mark_unroll(loops, config.unroll_depth)
-        if config.unroll_depth:
-            primitives.append(f"unroll depth {config.unroll_depth}")
-    else:  # fpga
+    facts = schedule_facts(main, config, target)
+    primitives: List[str] = []
+    build = {"gpu": _loops_gpu, "cpu": _loops_cpu, "fpga": _loops_fpga}[target]
+    loops, split_specs, fuse_specs = build(main, config, primitives)
+    if config.tensorize:
+        _mark_tensorize(main, loops, config, target, primitives)
+    if facts.vector_loop is not None:
+        loops[-1].annotation = VECTORIZE
+        primitives.append(f"vectorize {loops[-1].var.name}")
+    if target == "fpga":
         primitives.append(f"pipeline stages {config.fpga_pipeline}")
         primitives.append(f"partition factor {config.fpga_partition}")
         primitives.append(f"buffer {config.fpga_buffer_lines} input lines")
-        _mark_unroll(loops, config.unroll_depth)
-        cached = tuple(op.input_tensors)  # BRAM line buffers
+    _mark_unroll(loops, config.unroll_depth)
+    if config.unroll_depth and target != "fpga":
+        primitives.append(f"unroll depth {config.unroll_depth}")
+    if target == "gpu":
+        for tensor in facts.cached_tensors:
+            primitives.append(f"cache {tensor.name} in shared memory")
+    for op in inlined:
+        primitives.append(f"inline {op.name}")
     return Scheduled(
-        op=op,
+        op=main,
         target=target,
         loops=loops,
-        index_map=structure.index_map,
-        cached_tensors=tuple(cached),
+        index_map=LazyIndexMap(split_specs, fuse_specs),
+        inlined=inlined,
+        cached_tensors=facts.cached_tensors,
         primitives=primitives,
         config=config,
     )
 
 
-def _fresh_loops(specs: Sequence[LoopSpec]) -> List[LoopDef]:
-    """New :class:`LoopDef` objects for a structure's loop specs.
-
-    The specs come from the structural phase (positive extents, known
-    annotations), so ``LoopDef.__post_init__``'s checks are skipped: this
-    runs once per lowered point.
-    """
-    loops = []
-    for var, extent, role, annotation in specs:
-        loop = object.__new__(LoopDef)
-        loop.var = var
-        loop.extent = extent
-        loop.role = role
-        loop.annotation = annotation
-        loops.append(loop)
-    return loops
-
-
-def _apply_tensorize(
+def _mark_tensorize(
     op: ComputeOp,
     loops: List[LoopDef],
     config: NodeConfig,
     target: str,
     primitives: List[str],
-) -> bool:
-    """Apply the ``tensorize`` knob: mark the intrinsic's covered loops.
+) -> None:
+    """Annotate the intrinsic's covered loops ``TENSORIZE``.
 
-    Legality comes from :func:`repro.analysis.match.tensorize_rejections`
-    — the same oracle the TEN lint rules report — so a lint error is a
-    proof this raises, and vice versa.  The covered loops stay in the nest
-    (the interpreter executes them as one batched intrinsic call with an
-    ordered accumulate, so numerics are bit-identical to the scalar nest)
-    but are annotated ``TENSORIZE``: vectorize is subsumed and the models
-    bill the compute term at the intrinsic's accelerator rate.  Purely an
-    annotation, so the structural memo key is untouched.
+    The covered loops stay in the nest (the interpreter executes them as
+    one batched intrinsic call with an ordered accumulate, so numerics
+    are bit-identical to the scalar nest); vectorize is subsumed and the
+    models bill the compute term at the intrinsic's accelerator rate.
     """
-    if not getattr(config, "tensorize", ""):
-        return False
-    from ..analysis.match import covered_inner_roles, tensorize_rejections
+    from ..analysis.match import covered_inner_roles
 
-    rejections = tensorize_rejections(op, config, target)
-    if rejections:
-        raise LoweringError(
-            "illegal tensorize: "
-            + "; ".join(f"{rule}: {message}" for rule, message, _hint in rejections)
-        )
     covered = set(covered_inner_roles(op, config.tensorize, target))
     marked = []
     for loop in loops:
@@ -407,7 +423,6 @@ def _apply_tensorize(
             loop.annotation = TENSORIZE
             marked.append(loop.var.name)
     primitives.append(f"tensorize {config.tensorize} over " + ", ".join(marked))
-    return True
 
 
 def _check_parts(config: NodeConfig, op: ComputeOp, spatial: int, reduce_: int) -> None:
@@ -429,76 +444,45 @@ def _check_parts(config: NodeConfig, op: ComputeOp, spatial: int, reduce_: int) 
             raise LoweringError(f"expected {reduce_}-part reduce splits, got {factors}")
 
 
-def _split_all(
-    axes: Sequence[IterVar],
-    factor_lists,
-    kind: str,
-    primitives: List[str],
-    splits: Optional[Dict],
-) -> Tuple[List[Tuple[LoopSpec, ...]], Dict[IterVar, Tuple]]:
-    """Split every axis into serial loop specs, recording index-map
-    *recipes* instead of exprs.
+def _split_all(op: ComputeOp, config: NodeConfig, primitives: List[str]):
+    """Split every spatial, then every reduce axis into serial loops.
 
-    Validation and loops match :func:`split_axis` exactly; the index
-    re-composition expression is deferred to :class:`LazyIndexMap` (the
-    models never read it).  With a ``splits`` table (a memo's), each
-    axis split is built once and reused by every later structure.
+    Returns the per-axis loops of each kind and the index-map recipe of
+    every axis (the re-composition expression is deferred to
+    :class:`LazyIndexMap`).
     """
-    loops_per_axis: List[Tuple[LoopSpec, ...]] = []
-    split_specs: Dict[IterVar, Tuple] = {}
-    for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
-        if splits is None:
-            split = _split_axis(axis, factors, kind, idx)
-        else:
-            key = (axis, kind, idx, factors)
-            split = splits.get(key)
-            if split is None:
-                split = splits[key] = _split_axis(axis, factors, kind, idx)
-        loops, recipe, primitive = split
-        loops_per_axis.append(loops)
-        split_specs[axis] = recipe
-        primitives.append(primitive)
-    return loops_per_axis, split_specs
+    recipes: Dict[IterVar, Tuple] = {}
+    per_kind = []
+    for kind, axes, factor_lists in (
+        ("spatial", op.axes, config.spatial_factors),
+        ("reduce", op.reduce_axes, config.reduce_factors),
+    ):
+        per_axis = []
+        for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
+            loops = [
+                LoopDef(Var(f"{axis.name}.{part}"), factor, (kind, idx, part))
+                for part, factor in enumerate(factors)
+            ]
+            recipes[axis] = tuple((loop.var, loop.extent) for loop in loops)
+            primitives.append(f"split {axis.name}({axis.extent}) -> {tuple(factors)}")
+            per_axis.append(loops)
+        per_kind.append(per_axis)
+    return per_kind[0], per_kind[1], recipes
 
 
-def _split_axis(axis: IterVar, factors, kind: str, idx: int) -> Tuple:
-    """One axis split: (loop specs, index-map recipe, primitive)."""
-    product = 1
-    for f in factors:
-        product *= f
-    if product != axis.extent:
-        raise ValueError(
-            f"split factors {tuple(factors)} do not multiply to extent "
-            f"{axis.extent} of {axis.name}"
-        )
-    loops = tuple(
-        (Var(f"{axis.name}.{part}"), factor, (kind, idx, part), SERIAL)
-        for part, factor in enumerate(factors)
-    )
-    recipe = tuple((var, extent) for var, extent, _role, _annotation in loops)
-    return loops, recipe, f"split {axis.name}({axis.extent}) -> {tuple(factors)}"
-
-
-def _fuse_structural(
-    loops: Sequence[LoopSpec], name: str, annotation: str
-) -> Tuple[LoopSpec, Tuple]:
-    """Fuse adjacent loops, deferring the div/mod recovery expressions.
-
-    The fused loop matches :func:`fuse_loops` exactly; the recovery
-    recipe is handed to :class:`LazyIndexMap`, which builds the same
-    ``(fused // trailing) % extent`` expressions on first read.
-    """
-    if not loops:
-        raise ValueError("cannot fuse zero loops")
+def _fuse(loops: Sequence[LoopDef], name: str, annotation: str) -> Tuple[LoopDef, Tuple]:
+    """Fuse adjacent loops into one; returns it and its recovery recipe
+    (:class:`LazyIndexMap` builds the ``(fused // trailing) % extent``
+    expressions on first read)."""
     total = 1
     for loop in loops:
-        total *= loop[1]
-    fused = (Var(name), total, tuple(loop[2] for loop in loops), annotation)
-    return fused, (fused[0], tuple((loop[0], loop[1]) for loop in loops))
+        total *= loop.extent
+    fused = LoopDef(Var(name), total, tuple(loop.role for loop in loops), annotation)
+    return fused, (fused.var, tuple((loop.var, loop.extent) for loop in loops))
 
 
-def _names(loops: Sequence[LoopSpec]) -> str:
-    return ", ".join(loop[0].name for loop in loops)
+def _names(loops: Sequence[LoopDef]) -> str:
+    return ", ".join(loop.var.name for loop in loops)
 
 
 def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
@@ -517,12 +501,7 @@ def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
             break
 
 
-def _order_inner(
-    reorder: int,
-    reduce_outer: List[LoopSpec],
-    spatial_inner: List[LoopSpec],
-    reduce_inner: List[LoopSpec],
-) -> List[LoopSpec]:
+def _order_inner(reorder: int, reduce_outer: List, spatial_inner: List, reduce_inner: List) -> List:
     """Arrange the per-thread (or per-core) tile loops per the reorder knob."""
     if reorder == REORDER_REDUCE_INNER:
         return reduce_outer + spatial_inner + reduce_inner
@@ -540,88 +519,77 @@ def _order_inner(
     raise LoweringError(f"unknown reorder choice {reorder}")
 
 
-def _structural_gpu(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
-    _check_parts(config, op, GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS)
-    primitives: List[str] = []
-    spatial_loops, index_map = _split_all(
-        op.axes, config.spatial_factors, "spatial", primitives, splits)
-    reduce_loops, reduce_index = _split_all(
-        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
-    index_map.update(reduce_index)
+def inner_role_order(op: ComputeOp, config: NodeConfig, target: str) -> List[Tuple]:
+    """Roles of the per-core/per-thread tile loops, outermost first.
 
-    block_parts = [loops[0] for loops in spatial_loops]
-    vthread_parts = [loops[1][:3] + (VTHREAD,) for loops in spatial_loops]
-    thread_parts = [loops[2] for loops in spatial_loops]
-    inner_parts = [loops[3] for loops in spatial_loops]
+    The GPU and CPU nests always end with these loops, so the list's
+    suffix is the nest's innermost suffix.
+    """
+    return list(_role_order(len(op.axes), len(op.reduce_axes), config.reorder, target))
 
-    recoveries = []
-    block_loop, recovery = _fuse_structural(block_parts, f"{op.name}.blockIdx", BLOCK_X)
-    recoveries.append(recovery)
+
+@functools.lru_cache(maxsize=None)
+def _role_order(n_spatial: int, n_reduce: int, reorder: int, target: str) -> Tuple:
+    return tuple(_order_inner(
+        reorder,
+        [("reduce", i, 0) for i in range(n_reduce)],
+        [("spatial", i, INNER_SPATIAL_PART[target]) for i in range(n_spatial)],
+        [("reduce", i, INNER_REDUCE_PART) for i in range(n_reduce)],
+    ))
+
+
+def _loops_gpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
+    spatial, reduce_, recipes = _split_all(op, config, primitives)
+    block_parts = [loops[0] for loops in spatial]
+    block_loop, block_recovery = _fuse(block_parts, f"{op.name}.blockIdx", BLOCK_X)
     primitives.append("fuse " + _names(block_parts) + " -> blockIdx.x")
     primitives.append("bind blockIdx.x")
 
-    thread_loop, recovery = _fuse_structural(thread_parts, f"{op.name}.threadIdx", THREAD_X)
-    recoveries.append(recovery)
+    thread_parts = [loops[2] for loops in spatial]
+    thread_loop, thread_recovery = _fuse(thread_parts, f"{op.name}.threadIdx", THREAD_X)
     primitives.append("fuse " + _names(thread_parts) + " -> threadIdx.x")
     primitives.append("bind threadIdx.x")
 
-    reduce_outer = [loops[0] for loops in reduce_loops]
-    reduce_inner = [loops[1] for loops in reduce_loops]
-    inner = _order_inner(config.reorder, reduce_outer, inner_parts, reduce_inner)
+    vthread_parts = [loops[1] for loops in spatial]
+    for loop in vthread_parts:
+        loop.annotation = VTHREAD
+    inner = _order_inner(
+        config.reorder,
+        [loops[0] for loops in reduce_],
+        [loops[3] for loops in spatial],
+        [loops[1] for loops in reduce_],
+    )
     primitives.append(f"reorder choice {config.reorder}")
-
     loops = [block_loop, thread_loop] + vthread_parts + inner
-    return loops, index_map, recoveries, primitives, bool(inner)
+    return loops, recipes, (block_recovery, thread_recovery)
 
 
-def _structural_cpu(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
-    _check_parts(config, op, CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS)
-    if config.fuse_levels > len(op.axes):
-        raise LoweringError(
-            f"fuse_levels {config.fuse_levels} exceeds spatial axes {len(op.axes)}"
-        )
-    primitives: List[str] = []
-    spatial_loops, index_map = _split_all(
-        op.axes, config.spatial_factors, "spatial", primitives, splits)
-    reduce_loops, reduce_index = _split_all(
-        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
-    index_map.update(reduce_index)
-
-    outer_parts = [loops[0] for loops in spatial_loops]
-    middle_parts = [loops[1] for loops in spatial_loops]
-    inner_parts = [loops[2] for loops in spatial_loops]
-
+def _loops_cpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
+    spatial, reduce_, recipes = _split_all(op, config, primitives)
+    outer_parts = [loops[0] for loops in spatial]
     fused = outer_parts[: config.fuse_levels]
-    fused_outer, recovery = _fuse_structural(fused, f"{op.name}.parallel", PARALLEL)
-    recoveries = [recovery]
+    fused_outer, recovery = _fuse(fused, f"{op.name}.parallel", PARALLEL)
     primitives.append("fuse " + _names(fused) + " -> outer")
     primitives.append("parallel outer")
 
-    remaining_outer = outer_parts[config.fuse_levels :]
-    reduce_outer = [loops[0] for loops in reduce_loops]
-    reduce_inner = [loops[1] for loops in reduce_loops]
-    inner = _order_inner(config.reorder, reduce_outer, inner_parts, reduce_inner)
+    inner = _order_inner(
+        config.reorder,
+        [loops[0] for loops in reduce_],
+        [loops[2] for loops in spatial],
+        [loops[1] for loops in reduce_],
+    )
     primitives.append(f"reorder choice {config.reorder}")
+    loops = (
+        [fused_outer] + outer_parts[config.fuse_levels :]
+        + [loops[1] for loops in spatial] + inner
+    )
+    return loops, recipes, (recovery,)
 
-    loops = [fused_outer] + remaining_outer + middle_parts + inner
-    return loops, index_map, recoveries, primitives
 
-
-def _structural_fpga(op: ComputeOp, config: NodeConfig, splits: Optional[Dict]):
-    _check_parts(config, op, FPGA_SPATIAL_PARTS, 1)
-    primitives: List[str] = []
-    spatial_loops, index_map = _split_all(
-        op.axes, config.spatial_factors, "spatial", primitives, splits)
-    reduce_loops, reduce_index = _split_all(
-        op.reduce_axes, config.reduce_factors, "reduce", primitives, splits)
-    index_map.update(reduce_index)
-
-    outer_parts = [loops[0] for loops in spatial_loops]
-    pe_parts = [loops[1] for loops in spatial_loops]
-    pe_loop, recovery = _fuse_structural(pe_parts, f"{op.name}.pe", PE_PARALLEL)
-    recoveries = [recovery]
+def _loops_fpga(op: ComputeOp, config: NodeConfig, primitives: List[str]):
+    spatial, reduce_, recipes = _split_all(op, config, primitives)
+    pe_parts = [loops[1] for loops in spatial]
+    pe_loop, recovery = _fuse(pe_parts, f"{op.name}.pe", PE_PARALLEL)
     primitives.append("fuse " + _names(pe_parts) + " -> PE")
-
-    reduce_flat = [loops[0] for loops in reduce_loops]
-    loops = outer_parts + [pe_loop] + reduce_flat
-    return loops, index_map, recoveries, primitives
+    loops = [loops[0] for loops in spatial] + [pe_loop] + [loops[0] for loops in reduce_]
+    return loops, recipes, (recovery,)

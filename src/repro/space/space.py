@@ -37,6 +37,7 @@ from ..schedule import (
     REORDER_CHOICES,
     REORDER_REDUCE_INNER,
     UNROLL_CHOICES,
+    check_choice,
 )
 from .factorization import closest_factorization
 from .knobs import ChoiceKnob, Knob, SplitKnob
@@ -81,6 +82,23 @@ class ScheduleSpace:
         self.target = target
         self.knobs: Tuple[Knob, ...] = tuple(knobs)
         self._knob_by_name = {k.name: k for k in self.knobs}
+        # decode(): each knob's choices, the knob positions of the split
+        # factors, and the NodeConfig field each annotation knob sets
+        # (absent knobs keep the default).
+        self._choices = [knob.choices for knob in self.knobs]
+        positions = {k.name: ki for ki, k in enumerate(self.knobs)}
+        self._split_positions = (
+            [positions[f"sp{i}"] for i in range(len(op.axes))],
+            [positions[f"re{i}"] for i in range(len(op.reduce_axes))],
+        )
+        self._field_positions = [
+            (field, positions[name]) for name, field in _CONFIG_FIELDS.items() if name in positions
+        ]
+        # Every choice is checked here, once, so decode() skips the check.
+        splits = self._split_positions[0] + self._split_positions[1]
+        for field, ki in [("spatial_factors", ki) for ki in splits] + self._field_positions:
+            for choice in self._choices[ki]:
+                check_choice(field, choice)
         # Global direction table: (knob index, local direction).
         self.directions: List[Tuple[int, int]] = [
             (ki, d)
@@ -105,17 +123,6 @@ class ScheduleSpace:
         ]
         self._neighbors_cache: dict = {}
         self._features_cache: dict = {}
-        self._decode_cache: dict = {}
-        # decode(): knob positions of the split factors, and the NodeConfig
-        # field each annotation knob sets (absent knobs keep the default).
-        positions = {k.name: ki for ki, k in enumerate(self.knobs)}
-        self._split_positions = (
-            [positions[f"sp{i}"] for i in range(len(op.axes))],
-            [positions[f"re{i}"] for i in range(len(op.reduce_axes))],
-        )
-        self._field_positions = [
-            (field, positions[name]) for name, field in _CONFIG_FIELDS.items() if name in positions
-        ]
 
     _CACHE_CAP = 8192
 
@@ -178,7 +185,7 @@ class ScheduleSpace:
         unroll_rule = rules.get("unroll")
         if unroll_rule is not None:
             position, smallest_nonzero = unroll_rule
-            if self.knobs[position].choices[values[position]]:
+            if self._choices[position][values[position]]:
                 values[position] = smallest_nonzero
         vector_rule = rules.get("vectorize")
         if vector_rule is not None:
@@ -266,26 +273,21 @@ class ScheduleSpace:
     # -- decoding ----------------------------------------------------------
 
     def decode(self, point: Point) -> NodeConfig:
-        """Turn a space point into a schedule configuration (memoized —
-        ``NodeConfig`` is immutable)."""
-        key = tuple(point)
-        cached = self._decode_cache.get(key)
-        if cached is not None:
-            return cached
-        config = self._decode(point)
-        if len(self._decode_cache) >= self._CACHE_CAP:
-            self._decode_cache.clear()
-        self._decode_cache[key] = config
-        return config
+        """Turn a space point into a schedule configuration.
 
-    def _decode(self, point: Point) -> NodeConfig:
-        knobs = self.knobs
+        Not memoized: nearly every decoded point is a new one (the
+        evaluator caches performance per point), and a config is cheap
+        to build because the choices were checked when the space was.
+        """
+        choices = self._choices
         spatial, reduce_ = self._split_positions
-        return NodeConfig(
-            spatial_factors=tuple([knobs[ki].choices[point[ki]] for ki in spatial]),
-            reduce_factors=tuple([knobs[ki].choices[point[ki]] for ki in reduce_]),
-            **{field: knobs[ki].choices[point[ki]] for field, ki in self._field_positions},
-        )
+        values = {
+            "spatial_factors": tuple([choices[ki][point[ki]] for ki in spatial]),
+            "reduce_factors": tuple([choices[ki][point[ki]] for ki in reduce_]),
+        }
+        for field, ki in self._field_positions:
+            values[field] = choices[ki][point[ki]]
+        return NodeConfig.unchecked(values)
 
     def encode(self, config: NodeConfig) -> Point:
         """Inverse of :meth:`decode` (raises if a value is pruned away)."""

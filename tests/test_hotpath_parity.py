@@ -6,8 +6,8 @@ Every fast path introduced by the per-point hot-path work must be
 * the array-compiled GBT (``repro.learn.gbt``) against the retained
   scalar implementation in ``tests/gbt_reference.py``;
 * ``batch_point_features`` against per-point ``point_features``;
-* memoized structural lowering against fresh lowering (index maps,
-  loops, primitives, and the numerics of interpretation and codegen);
+* memoized schedule facts against fresh lowering (the facts its loops
+  give, and the numerics of interpretation and codegen);
 * the four tuners' trajectories with the fast paths on versus off.
 
 Equality discipline: predictions and features are compared with
@@ -42,10 +42,11 @@ from repro.learn import GradientBoostedTrees
 from repro.model import V100
 from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import Evaluator
-from repro.schedule import lower
+from repro.schedule import LoweringMemo, lower, schedule_facts, structural_key
 from repro.space import build_space
 
 from .gbt_reference import ReferenceGradientBoostedTrees
+from .test_schedule_facts import lowered_facts
 
 GBT_KWARGS = dict(num_rounds=8, max_depth=3, learning_rate=0.3)
 
@@ -232,35 +233,30 @@ class TestBatchFeatureParity:
 
 
 class TestMemoizedLoweringParity:
+    """The evaluator's memoized schedule facts against fresh lowering."""
+
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("target", ["gpu", "cpu", "fpga"])
     def test_memoized_equals_fresh(self, workload, target):
         out = WORKLOADS[workload]()
         space = build_space(out, target)
         rng = np.random.default_rng(5)
-        from repro.schedule import LoweringMemo
-
         memo = LoweringMemo()
         for _ in range(10):
             config = space.decode(space.random_point(rng))
-            memoized = lower(out, config, target, memo=memo)
-            fresh = lower(out, config, target)
-            assert str(dict(memoized.index_map)) == str(dict(fresh.index_map))
-            assert [
-                (l.var.name, l.extent, l.role, l.annotation) for l in memoized.loops
-            ] == [(l.var.name, l.extent, l.role, l.annotation) for l in fresh.loops]
-            assert memoized.primitives == fresh.primitives
+            memoized = schedule_facts(out.op, config, target, memo)
+            assert memoized == schedule_facts(out.op, config, target)
+            assert memoized == lowered_facts(lower(out, config, target))
         assert memo.hits + memo.misses == 10
 
     @pytest.mark.parametrize("target", ["gpu", "cpu", "fpga"])
     def test_shared_axis_split_across_structures(self, target):
         # Two configs that split axis 0 the same way but differ elsewhere
         # (another axis's split, and reorder off FPGA): two structural
-        # misses, the second reusing the memo's per-axis split.
+        # misses, each pricing like its own fresh lowering, which still
+        # computes the op.
         out = WORKLOADS["conv2d"]()
         space = build_space(out, target)
-        from repro.schedule import LoweringMemo, structural_key
-
         first = space.decode(space.random_point(np.random.default_rng(19)))
         knob = space.knob("sp1")
         other = next(f for f in knob.choices if f != first.spatial_factors[1])
@@ -272,53 +268,40 @@ class TestMemoizedLoweringParity:
         assert structural_key(first, target) != structural_key(second, target)
 
         memo = LoweringMemo()
-        lowered = [lower(out, config, target, memo=memo) for config in (first, second)]
+        facts = [schedule_facts(out.op, config, target, memo) for config in (first, second)]
         assert memo.misses == 2 and memo.hits == 0
-        unfused = ("spatial", 0, 0 if target == "fpga" else 1)
-        shared = [loop.var for loop in lowered[0].loops if loop.role == unfused]
-        assert shared and any(
-            loop.var is shared[0] for loop in lowered[1].loops
-        ), "the second structure did not reuse axis 0's split"
         inputs = random_inputs(out, seed=0)
         expected = execute_reference(out, inputs)
-        for config, memoized in zip((first, second), lowered):
+        for config, memoized in zip((first, second), facts):
             fresh = lower(out, config, target)
-            assert [
-                (l.var.name, l.extent, l.role, l.annotation) for l in memoized.loops
-            ] == [(l.var.name, l.extent, l.role, l.annotation) for l in fresh.loops]
-            assert memoized.primitives == fresh.primitives
-            assert str(dict(memoized.index_map)) == str(dict(fresh.index_map))
-            np.testing.assert_allclose(execute_scheduled(memoized, inputs), expected)
+            assert memoized == lowered_facts(fresh)
+            np.testing.assert_allclose(execute_scheduled(fresh, inputs), expected)
 
     def test_interp_and_codegen_numerics_through_memo(self):
         out = WORKLOADS["gemm"]()
         space = build_space(out, "gpu")
         rng = np.random.default_rng(11)
-        from repro.schedule import LoweringMemo
-
         memo = LoweringMemo()
         inputs = random_inputs(out, seed=0)
         expected = execute_reference(out, inputs)
         for _ in range(3):
             config = space.decode(space.random_point(rng))
-            scheduled = lower(out, config, "gpu", memo=memo)
+            scheduled = lower(out, config, "gpu")
+            assert schedule_facts(out.op, config, "gpu", memo) == lowered_facts(scheduled)
             np.testing.assert_allclose(execute_scheduled(scheduled, inputs), expected)
             np.testing.assert_allclose(run_generated(scheduled, inputs), expected)
 
     def test_index_map_writes_do_not_leak_across_schedules(self):
-        # Scheduled objects built from one memoized structure share the
-        # lazy index map, so it is read-only: a write raises instead of
-        # reaching the sibling schedule.
+        # The lazy index map is read-only: a write raises instead of
+        # patching a schedule in place.
         out = WORKLOADS["gemm"]()
         space = build_space(out, "gpu")
         rng = np.random.default_rng(13)
         from repro.ir import IntImm
-        from repro.schedule import LoweringMemo
 
-        memo = LoweringMemo()
         config = space.decode(space.random_point(rng))
-        first = lower(out, config, "gpu", memo=memo)
-        second = lower(out, config, "gpu", memo=memo)
+        first = lower(out, config, "gpu")
+        second = lower(out, config, "gpu")
         axis = first.op.axes[0]
         before = str(second.index_map[axis])
         with pytest.raises(TypeError):

@@ -51,14 +51,14 @@ def tiny_network():
 def run(base, network=None, chaos=None, resume=False, **kwargs):
     options = dict(trials=8, seed=3)
     if kwargs.get("allocate", True):
-        options.update(slice_trials=3, round_slots=2)   # scheduler knobs
+        # Scheduler knobs and checkpointing: the uniform baseline rejects both.
+        options.update(slice_trials=3, round_slots=2, checkpoint_dir=base / "ckpt",
+                       resume=resume, chaos=chaos)
     options.update(kwargs)
     return tune_network(
         network if network is not None else tiny_network(), DEVICE,
         records=base / "records.jsonl",
         eval_cache=base / "cache",
-        checkpoint_dir=base / "ckpt",
-        resume=resume, chaos=chaos,
         **options,
     )
 
@@ -350,6 +350,34 @@ class TestBudget:
             run(tmp_path, allocate=False, **{knob: 2})
         with pytest.raises(TypeError, match=knob):
             optimize_network(tiny_network(), DEVICE, trials=2, **{knob: 2})
+
+    @pytest.mark.parametrize("name,value", [
+        ("checkpoint_dir", "ckpt"),
+        ("resume", True),
+        ("chaos", NetworkChaos(kill_after_slices=0)),
+    ])
+    def test_uniform_mode_rejects_checkpointing(self, tmp_path, name, value):
+        if name == "checkpoint_dir":
+            value = tmp_path / value
+        with pytest.raises(TypeError, match=name):
+            tune_network(tiny_network(), DEVICE, trials=2, allocate=False,
+                         **{name: value})
+        with pytest.raises(TypeError, match=name):
+            optimize_network(tiny_network(), DEVICE, trials=2, **{name: value})
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_uniform_mode_names_every_checkpointing_argument(self, tmp_path):
+        with pytest.raises(TypeError, match="checkpoint_dir, resume, chaos"):
+            tune_network(tiny_network(), DEVICE, trials=2, allocate=False,
+                         checkpoint_dir=tmp_path, resume=True,
+                         chaos=NetworkChaos(kill_after_slices=0))
+
+    @pytest.mark.parametrize("flag", [["--resume"], ["--slice-trials", "3"]])
+    def test_uniform_scheduler_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune-network", "--uniform", *flag, "--store", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"{flag[0]} has no effect with --uniform" in capsys.readouterr().err
 
     def test_optimize_network_is_the_uniform_tune(self):
         network = Network("one", [LayerSpec(conv("a", 4, 8, 8, kernel=1), 1)])

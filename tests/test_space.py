@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ops import conv2d_compute, gemm_compute
+from repro.schedule import NodeConfig
 from repro.space import (
     ChoiceKnob,
+    ScheduleSpace,
     SplitKnob,
     build_space,
     closest_factorization,
@@ -202,3 +204,52 @@ class TestHeuristicSeeds:
         space = build_space(gemm_compute(16, 16, 16), "gpu")
         rng = np.random.default_rng(0)
         assert len(heuristic_seed_points(space, 7, rng)) == 7
+
+
+class TestKnobChoicesCheckedAtBuild:
+    """A space checks every knob choice once, when it is built, so
+    ``decode`` can skip ``NodeConfig`` validation per point."""
+
+    @staticmethod
+    def rebuilt(target, name, make_knob):
+        space = build_space(gemm_compute(8, 8, 8, name="g"), target)
+        knobs = [make_knob(k) if k.name == name else k for k in space.knobs]
+        return ScheduleSpace(space.op, space.target, knobs)
+
+    @pytest.mark.parametrize("target,name,make_knob,message", [
+        ("gpu", "sp0", lambda k: SplitKnob("sp0", 8, 4, list(k.choices) + [(0, 1, 1, 8)]),
+         "split factors must be positive"),
+        ("cpu", "re0", lambda k: SplitKnob("re0", 8, 2, list(k.choices) + [(-1, -8)]),
+         "split factors must be positive"),
+        ("gpu", "reorder", lambda k: ChoiceKnob("reorder", list(k.choices) + [7]),
+         "unknown reorder choice 7"),
+        ("cpu", "unroll", lambda k: ChoiceKnob("unroll", list(k.choices) + [3]),
+         "unknown unroll depth 3"),
+        ("cpu", "fuse", lambda k: ChoiceKnob("fuse", [0] + list(k.choices)),
+         "fuse_levels must be >= 1"),
+    ])
+    def test_invalid_choice_raises_when_the_space_is_built(
+        self, target, name, make_knob, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            self.rebuilt(target, name, make_knob)
+
+    def test_decoded_configs_equal_validated_ones(self):
+        space = build_space(conv2d_compute(1, 8, 8, 8, 16, 3, 1, 1), "cpu")
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            config = space.decode(space.random_point(rng))
+            checked = NodeConfig(**{f: getattr(config, f) for f in config.__dataclass_fields__})
+            assert config == checked and hash(config) == hash(checked)
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(spatial_factors=((0, 8),)), "split factors must be positive"),
+        (dict(reorder=7), "unknown reorder choice 7"),
+        (dict(unroll_depth=3), "unknown unroll depth 3"),
+        (dict(fuse_levels=0), "fuse_levels must be >= 1"),
+    ])
+    def test_hand_built_config_still_validates(self, changes, message):
+        fields = dict(spatial_factors=((2, 4),), reduce_factors=((8,),))
+        fields.update(changes)
+        with pytest.raises(ValueError, match=message):
+            NodeConfig(**fields)
