@@ -16,15 +16,19 @@ rule-based analyzer:
 **Soundness contract** (enforced by ``tests/test_lint.py``): a config
 receives an *error*-severity diagnostic **iff** the analytical performance
 model rejects it (returns :data:`~repro.model.base.INVALID_TIME`) or
-lowering fails.  The rule implementations below are therefore the single
-source of truth for hardware limits — the models in :mod:`repro.model`
-import the same helper functions rather than re-deriving the arithmetic.
+lowering fails.  Neither side re-derives the other's arithmetic: the
+loop extents (threads per block, parallel chunks, PEs, the innermost
+loop) come from :func:`repro.schedule.loop_extents`, which lowering
+uses too, and the footprint helpers below (registers, shared memory,
+occupancy, BRAM) are imported by the models in :mod:`repro.model`.
 
-Consumers: :func:`repro.space.build_space` uses error rules to shrink the
-generated space up front, the :class:`~repro.runtime.BatchEngine` runs
-the linter before its cache probe and bills rejected points at zero cost
+Consumers: the :class:`~repro.runtime.BatchEngine` runs the linter
+before its cache probe and bills rejected points at zero cost
 (``MeasureStatus.ILLEGAL``), and ``python -m repro lint`` prints a
-diagnostics report.  See ``docs/lint.md``.
+diagnostics report.  :func:`repro.space.build_space` does not run the
+linter: with a device spec it prunes split choices by its own per-axis
+caps, each of which one of the error rules below would also reject.
+See ``docs/lint.md``.
 """
 
 from __future__ import annotations
@@ -32,15 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..schedule import (
-    CPU_REDUCE_PARTS,
-    CPU_SPATIAL_PARTS,
-    FPGA_SPATIAL_PARTS,
-    GPU_REDUCE_PARTS,
-    GPU_SPATIAL_PARTS,
-    NodeConfig,
-    REORDER_REDUCE_INNER,
-)
+from ..schedule import NodeConfig, REORDER_REDUCE_INNER, SPLIT_PARTS, loop_extents
 
 _DTYPE_BYTES = 4
 
@@ -121,19 +117,10 @@ def _diag(rule: str, message: str, hint: str = "") -> Diagnostic:
     return Diagnostic(rule=rule, severity=RULES[rule][1], message=message, hint=hint)
 
 
-# -- shared hardware-limit arithmetic ------------------------------------
+# -- footprint arithmetic shared with the models ------------------------
 #
-# These helpers are the one source of truth for the static quantities the
-# hardware models gate on.  repro.model.gpu / repro.model.fpga call them,
-# so a linter verdict and a model rejection can never disagree.
-
-def gpu_block_threads(config: NodeConfig) -> int:
-    """Fused ``threadIdx.x`` extent: product of the thread split parts."""
-    threads = 1
-    for factors in config.spatial_factors:
-        threads *= factors[2]
-    return threads
-
+# repro.model.gpu / repro.model.fpga gate on these same helpers, so a
+# linter verdict and a model rejection can never disagree.
 
 def gpu_register_estimate(config: NodeConfig) -> int:
     """Per-thread register estimate of the GPU model (uncapped).
@@ -186,14 +173,6 @@ def gpu_active_blocks(spec, threads_per_block: int, smem_bytes: int,
     return min(blocks_by_threads, blocks_by_smem, blocks_by_regs, spec.max_blocks_per_sm)
 
 
-def fpga_num_pes(config: NodeConfig) -> int:
-    """Fused PE-array extent: product of the PE split parts."""
-    pes = 1
-    for factors in config.spatial_factors:
-        pes *= factors[1]
-    return pes
-
-
 def fpga_bram_bytes(op, config: NodeConfig) -> int:
     """BRAM footprint of the input line buffers for one pipeline round."""
     from ..codegen import tile_footprint
@@ -210,36 +189,7 @@ def fpga_bram_bytes(op, config: NodeConfig) -> int:
     return total
 
 
-def cpu_parallel_chunks(config: NodeConfig) -> int:
-    """Chunks of the fused parallel outer loop (outer parts, fused depth)."""
-    chunks = 1
-    for factors in config.spatial_factors[: config.fuse_levels]:
-        chunks *= factors[0]
-    return chunks
-
-
-def cpu_innermost_vector(op, config: NodeConfig) -> Optional[Tuple[str, int]]:
-    """(kind, extent) of the loop CPU lowering vectorizes, or None.
-
-    Mirrors ``_lower_cpu`` + ``_order_inner``: the innermost loop is the
-    last reduce-inner part under ``REORDER_REDUCE_INNER`` (when the op
-    reduces), otherwise the last spatial inner part.
-    """
-    if not config.vectorize:
-        return None
-    if config.reorder == REORDER_REDUCE_INNER and op.reduce_axes:
-        return ("reduce", config.reduce_factors[-1][1])
-    return ("spatial", config.spatial_factors[-1][2])
-
-
 # -- the linter -----------------------------------------------------------
-
-_PARTS = {
-    "gpu": (GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS),
-    "cpu": (CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS),
-    "fpga": (FPGA_SPATIAL_PARTS, 1),
-}
-
 
 class ScheduleLinter:
     """Rule-based static analyzer for one ``(op, target, spec)``.
@@ -249,7 +199,7 @@ class ScheduleLinter:
     """
 
     def __init__(self, op, target: str, spec, ignore: Iterable[str] = ()):
-        if target not in _PARTS:
+        if target not in SPLIT_PARTS:
             raise ValueError(f"unknown target {target!r}")
         self.op = op
         self.target = target
@@ -292,7 +242,7 @@ class ScheduleLinter:
     def _structure(self, config: NodeConfig) -> List[Diagnostic]:
         """GEN003: shape mismatches that would make lowering raise."""
         op = self.op
-        spatial_parts, reduce_parts = _PARTS[self.target]
+        spatial_parts, reduce_parts = SPLIT_PARTS[self.target]
         found: List[Diagnostic] = []
         if len(config.spatial_factors) != len(op.axes):
             found.append(_diag(
@@ -355,7 +305,7 @@ class ScheduleLinter:
     def _gpu_rules(self, config: NodeConfig) -> List[Diagnostic]:
         spec = self.spec
         found: List[Diagnostic] = []
-        threads = gpu_block_threads(config)
+        _grid, threads, _parallel, _innermost = loop_extents(self.op, config, "gpu")
         if threads > spec.max_threads_per_block:
             found.append(_diag(
                 "GPU001",
@@ -397,9 +347,9 @@ class ScheduleLinter:
     def _cpu_rules(self, config: NodeConfig) -> List[Diagnostic]:
         spec = self.spec
         found: List[Diagnostic] = []
-        vector = cpu_innermost_vector(self.op, config)
-        if vector is not None:
-            kind, length = vector
+        _grid, _threads, chunks, innermost = loop_extents(self.op, config, "cpu")
+        if config.vectorize and innermost is not None:
+            length, (kind, *_) = innermost
             lanes = spec.vector_lanes
             if length % lanes:
                 padded = -(-length // lanes) * lanes
@@ -410,7 +360,6 @@ class ScheduleLinter:
                     f"{lanes} fp32 lanes)",
                     f"make the innermost split factor a multiple of {lanes}",
                 ))
-        chunks = cpu_parallel_chunks(config)
         if chunks < spec.num_cores:
             found.append(_diag(
                 "CPU002",
@@ -423,7 +372,7 @@ class ScheduleLinter:
     def _fpga_rules(self, config: NodeConfig) -> List[Diagnostic]:
         spec = self.spec
         found: List[Diagnostic] = []
-        pes = fpga_num_pes(config)
+        _grid, _threads, pes, _innermost = loop_extents(self.op, config, "fpga")
         if pes > spec.max_pes:
             found.append(_diag(
                 "FPGA001",

@@ -155,9 +155,6 @@ class SurrogateScreen:
         self.num_explored = 0                  # ε-slice promotions
         self.quality = _QualityStats()
         self._quality_pairs: List[Tuple[float, float]] = []
-        # Hot path (ISSUE #7): vectorized featurization of whole batches
-        # (bit-identical to the scalar path).
-        self.use_batch_features = True
 
     # -- featurization -----------------------------------------------------
 
@@ -171,11 +168,9 @@ class SurrogateScreen:
     def features_matrix(self, points: Sequence[Point]) -> np.ndarray:
         """Feature rows for a batch, filling the per-point cache.
 
-        With :attr:`use_batch_features` (the default) uncached points
-        are featurized in one vectorized pass — bit-identical to calling
-        :meth:`features` per point (pinned by the parity suite)."""
-        if not self.use_batch_features:
-            return np.stack([self.features(p) for p in points])
+        Uncached points are featurized in one vectorized pass —
+        bit-identical to calling :meth:`features` per point (pinned by
+        the parity suite)."""
         missing = list(dict.fromkeys(
             p for p in points if p not in self._feature_cache
         ))

@@ -1,6 +1,6 @@
 """Simulated heterogeneous hardware: device specs and analytical models."""
 
-from .base import INVALID_TIME, InvalidSchedule, PerformanceModel
+from .base import INVALID_TIME, PerformanceModel
 from .cpu import CpuModel
 from .fpga import FpgaModel
 from .gpu import GpuModel
@@ -32,7 +32,7 @@ def model_for(spec) -> PerformanceModel:
 
 __all__ = [
     "CpuModel", "CpuSpec", "DEVICES", "FpgaModel", "FpgaSpec", "GpuModel",
-    "FpgaResourceReport", "fpga_resource_report", "GpuSpec", "INVALID_TIME", "InvalidSchedule", "P100", "PerformanceModel",
+    "FpgaResourceReport", "fpga_resource_report", "GpuSpec", "INVALID_TIME", "P100", "PerformanceModel",
     "TITAN_X", "V100", "VU9P", "XEON_E5_2699V4", "model_for", "target_of",
     "tensorize_rate",
 ]

@@ -21,10 +21,6 @@ from ..schedule import ScheduleFacts
 INVALID_TIME = 1.0e3
 
 
-class InvalidSchedule(Exception):
-    """The configuration violates a hard hardware constraint."""
-
-
 class PerformanceModel(ABC):
     """Estimates wall-clock seconds for a scheduled program on one device."""
 

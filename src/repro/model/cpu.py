@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-from ..analysis.lint import cpu_parallel_chunks
 from ..codegen import flops_of, op_facts, tile_footprint
 from ..schedule import (
     REORDER_INTERLEAVED,
@@ -25,7 +24,7 @@ from ..schedule import (
     REORDER_SPATIAL_INNER,
     ScheduleFacts,
 )
-from .base import INVALID_TIME, PerformanceModel
+from .base import PerformanceModel
 from .resources import tensorize_rate
 from .specs import CpuSpec
 
@@ -58,8 +57,8 @@ class CpuModel(PerformanceModel):
         op = scheduled.op
 
         # Parallelism: chunks of the fused outer loop over physical cores
-        # (shared with the linter's CPU002 starvation rule).
-        chunks = cpu_parallel_chunks(config)
+        # (the extent the linter's CPU002 starvation rule reads too).
+        chunks = scheduled.parallel_extent
         rounds = math.ceil(chunks / spec.num_cores)
         effective_cores = chunks / rounds  # average active cores per round
 

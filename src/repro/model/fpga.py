@@ -15,10 +15,8 @@ measurement.
 from __future__ import annotations
 
 import math
-from typing import Dict
 
-from ..analysis.lint import fpga_bram_bytes, fpga_num_pes
-from ..codegen import flops_of, tile_footprint
+from ..analysis.lint import fpga_bram_bytes
 from ..schedule import ScheduleFacts
 from .base import INVALID_TIME, PerformanceModel
 from .specs import FpgaSpec
@@ -45,8 +43,7 @@ class FpgaModel(PerformanceModel):
         config = scheduled.config
         op = scheduled.op
 
-        num_pe = fpga_num_pes(config)
-        assert num_pe == scheduled.parallel_extent
+        num_pe = scheduled.parallel_extent
         if num_pe > spec.max_pes:
             return INVALID_TIME
 
@@ -57,19 +54,13 @@ class FpgaModel(PerformanceModel):
         # One round: the PE array produces #PE output elements, each a full
         # reduction.  Buffering more input lines amortizes DDR bursts.
         # The BRAM legality gate shares its arithmetic with the linter
-        # (repro.analysis.lint), one source of truth for the budget.
-        pe_tile: Dict = {}
-        for axis, factors in zip(op.axes, config.spatial_factors):
-            pe_tile[axis] = factors[1]
-        for axis in op.reduce_axes:
-            pe_tile[axis] = axis.extent
+        # (repro.analysis.lint): the line buffers hold ``buffer_lines``
+        # rounds of the PE tile's inputs.
         buffer_lines = max(config.fpga_buffer_lines, 1)
-        read_bytes = 0
-        for tensor in op.input_tensors:
-            read_bytes += tile_footprint(op, tensor, pe_tile) * _DTYPE_BYTES
         bram_bytes = fpga_bram_bytes(op, config)
         if bram_bytes > spec.bram_kb * 1024:
             return INVALID_TIME
+        read_bytes = bram_bytes // buffer_lines
 
         partition = min(max(config.fpga_partition, 1), spec.max_partitions)
         # Partitioning multiplies usable banks with diminishing returns.

@@ -128,15 +128,17 @@ def _schedule_for_graph(
         return base
     decisions = dict(base.inline)
     # Inline decisions do not change what the model reads of the main
-    # node's schedule, so one set of facts prices every trial.
-    facts = schedule_facts(graph.main_op, config, target)
+    # node's schedule, so one estimate of it prices every trial.
+    kernel = evaluator.model.estimate_seconds(
+        schedule_facts(graph.main_op, config, target)
+    )
     for helper in helpers:
         candidates = {}
         for inline in (True, False):
             trial = GraphConfig(inline={**decisions, helper.name: inline})
-            seconds = evaluator.model.estimate_seconds(facts)
-            seconds += materialization_seconds(graph, trial, evaluator.device_spec)
-            candidates[inline] = seconds
+            candidates[inline] = kernel + materialization_seconds(
+                graph, trial, evaluator.device_spec
+            )
         decisions[helper.name] = min(candidates, key=candidates.get)
     return GraphConfig(inline=decisions)
 

@@ -36,8 +36,10 @@ from .lower import (
     GPU_SPATIAL_PARTS,
     LoweringError,
     LoweringMemo,
+    SPLIT_PARTS,
     ScheduleFacts,
     TARGETS,
+    loop_extents,
     lower,
     schedule_facts,
     structural_key,
@@ -47,12 +49,12 @@ __all__ = [
     "ANNOTATIONS", "BLOCK_X", "CPU_REDUCE_PARTS", "CPU_SPATIAL_PARTS",
     "FPGA_SPATIAL_PARTS", "GPU_REDUCE_PARTS", "GPU_SPATIAL_PARTS",
     "GraphConfig", "LoopDef", "LoweringError",
-    "LoweringMemo", "NodeConfig", "PARALLEL",
+    "LoweringMemo", "NodeConfig", "PARALLEL", "SPLIT_PARTS",
     "PE_PARALLEL", "REORDER_CHOICES", "REORDER_INTERLEAVED",
     "REORDER_REDUCE_INNER", "REORDER_SPATIAL_INNER", "SERIAL", "ScheduleFacts", "Scheduled",
     "TARGETS", "TENSORIZE", "THREAD_X", "UNROLL", "UNROLL_CHOICES",
     "VECTORIZE", "VTHREAD", "check_choice",
-    "fuse_loops", "lower", "schedule_facts", "split_axis", "structural_key",
+    "fuse_loops", "loop_extents", "lower", "schedule_facts", "split_axis", "structural_key",
     "substitute_vars",
     "ScheduleValidationError", "quick_report", "validate_schedule",
 ]

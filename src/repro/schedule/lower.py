@@ -35,11 +35,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graph import MiniGraph, get_graph
-from ..ir import ComputeOp, Expr, IterVar, Reduce, Var
+from ..ir import ComputeOp, Reduce, simplify
 from .config import (
     GraphConfig,
     NodeConfig,
@@ -59,6 +59,8 @@ from .loopnest import (
     UNROLL,
     VECTORIZE,
     VTHREAD,
+    fuse_loops,
+    split_axis,
     substitute_vars,
 )
 
@@ -71,7 +73,7 @@ FPGA_SPATIAL_PARTS = 2
 TARGETS = ("gpu", "cpu", "fpga")
 
 #: Split parts per target: (spatial, reduce).
-_PARTS = {
+SPLIT_PARTS = {
     "gpu": (GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS),
     "cpu": (CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS),
     "fpga": (FPGA_SPATIAL_PARTS, 1),
@@ -85,77 +87,6 @@ INNER_REDUCE_PART = 1
 
 class LoweringError(ValueError):
     """Raised when a configuration cannot be lowered for a target."""
-
-
-class LazyIndexMap(Mapping):
-    """Index map whose expression construction, fuse-recovery substitution
-    and simplification are all deferred to the first value read.
-
-    The axis -> expression reconstruction is the most expensive part of
-    lowering (building the split re-composition expressions, tree-walking
-    ``substitute_vars`` per fused loop, then ``simplify``), yet only code
-    generation, interpretation and schedule validation read it.  Lowering
-    therefore records only *recipes*: per axis the ``(var, extent)``
-    chain of its split loops, plus per fused loop the ``(fused_var,
-    parts)`` pair.  Keys are known up front (the op's axes), so
-    membership checks and ``len`` are free; the first
-    ``[]``/``items()``/``values()`` builds the expressions (construction,
-    then substitution in fuse order, then one ``simplify`` pass) and
-    caches them for every subsequent read.  Instances are read-only: a
-    write raises ``TypeError``.
-    """
-
-    __slots__ = ("_split_specs", "_fuse_specs", "_final")
-
-    def __init__(self, split_specs, fuse_specs):
-        # axis -> ((var, extent), ...) outermost-first split chain
-        self._split_specs = split_specs
-        # ((fused_var, ((var, extent), ...)), ...) in application order
-        self._fuse_specs = fuse_specs
-        self._final: Optional[Dict[IterVar, Expr]] = None
-
-    def _materialize(self) -> Dict[IterVar, Expr]:
-        final = self._final
-        if final is None:
-            from ..ir import simplify
-
-            recoveries = []
-            for fused_var, parts in self._fuse_specs:
-                total = 1
-                for _, extent in parts:
-                    total *= extent
-                recovery: Dict[Var, Expr] = {}
-                trailing = total
-                for var, extent in parts:
-                    trailing //= extent
-                    recovery[var] = (
-                        (fused_var // trailing) % extent
-                        if trailing > 1
-                        else fused_var % extent
-                    )
-                recoveries.append(recovery)
-            final = {}
-            for axis, parts in self._split_specs.items():
-                expr: Expr = parts[0][0]
-                for var, extent in parts[1:]:
-                    expr = expr * extent + var
-                for recovery in recoveries:
-                    expr = substitute_vars(expr, recovery)
-                final[axis] = simplify(expr)
-            self._final = final
-        return final
-
-    def __getitem__(self, axis: IterVar) -> Expr:
-        return self._materialize()[axis]
-
-    def __iter__(self):
-        return iter(self._split_specs)
-
-    def __len__(self) -> int:
-        return len(self._split_specs)
-
-    def __contains__(self, axis) -> bool:
-        return axis in self._split_specs
 
 
 class ScheduleFacts(NamedTuple):
@@ -280,12 +211,10 @@ def schedule_facts(
 
 
 def _structural_facts(op: ComputeOp, config: NodeConfig, target: str) -> Tuple:
-    """``(grid, threads, parallel, innermost)`` of the loop nest, after
-    the checks lowering makes, in its order.  ``innermost`` is the last
-    loop's ``(extent, role)`` (None on FPGA, which never vectorizes)."""
-    if target not in _PARTS:
+    """:func:`loop_extents` after the checks lowering makes, in its order."""
+    if target not in SPLIT_PARTS:
         raise LoweringError(f"unknown target {target!r}; expected one of {TARGETS}")
-    _check_parts(config, op, *_PARTS[target])
+    _check_parts(config, op, *SPLIT_PARTS[target])
     if target == "cpu" and config.fuse_levels > len(op.axes):
         raise LoweringError(
             f"fuse_levels {config.fuse_levels} exceeds spatial axes {len(op.axes)}"
@@ -299,29 +228,34 @@ def _structural_facts(op: ComputeOp, config: NodeConfig, target: str) -> Tuple:
             )
     if not op.axes:
         raise ValueError("cannot fuse zero loops")
+    return loop_extents(op, config, target)
+
+
+def loop_extents(
+    op: ComputeOp, config: NodeConfig, target: str
+) -> Tuple[int, int, int, Optional[Tuple[int, Tuple]]]:
+    """``(grid, threads, parallel, innermost)`` of the loop nest
+    :func:`lower` builds for ``config``.
+
+    ``grid`` and ``threads`` are the GPU's fused block and thread parts
+    (1 off-GPU); ``parallel`` is the CPU's fused parallel-outer parts or
+    the FPGA's PE parts (1 on the GPU); ``innermost`` is the last loop's
+    ``(extent, role)`` (None on the FPGA, which never vectorizes).
+
+    No checks: the config needs :data:`SPLIT_PARTS` parts per axis, but
+    its splits need not multiply to their extents, so the linter, the
+    models and lowering all read one mapping of split parts to loops.
+    """
     spatial = config.spatial_factors
     if target == "fpga":
-        pes = 1
-        for factors in spatial:
-            pes *= factors[1]
-        return 1, 1, pes, None
-    if target == "cpu":
-        chunks = 1
-        for factors in spatial[: config.fuse_levels]:
-            chunks *= factors[0]
-        return 1, 1, chunks, _innermost(op, config, target)
-    grid = threads = 1
-    for factors in spatial:
-        grid *= factors[0]
-        threads *= factors[2]
-    return grid, threads, 1, _innermost(op, config, target)
-
-
-def _innermost(op: ComputeOp, config: NodeConfig, target: str) -> Tuple[int, Tuple]:
+        return 1, 1, math.prod(f[1] for f in spatial), None
     roles = _role_order(len(op.axes), len(op.reduce_axes), config.reorder, target)
     kind, idx, part = role = roles[-1]
-    factors = config.spatial_factors if kind == "spatial" else config.reduce_factors
-    return factors[idx][part], role
+    factors = spatial if kind == "spatial" else config.reduce_factors
+    innermost = factors[idx][part], role
+    if target == "cpu":
+        return 1, 1, math.prod(f[0] for f in spatial[: config.fuse_levels]), innermost
+    return math.prod(f[0] for f in spatial), math.prod(f[2] for f in spatial), 1, innermost
 
 
 def _check_tensorize(op: ComputeOp, config: NodeConfig, target: str) -> bool:
@@ -369,8 +303,13 @@ def lower(
     )
     facts = schedule_facts(main, config, target)
     primitives: List[str] = []
+    spatial, reduce_, index_map = _split_all(main, config, primitives)
     build = {"gpu": _loops_gpu, "cpu": _loops_cpu, "fpga": _loops_fpga}[target]
-    loops, split_specs, fuse_specs = build(main, config, primitives)
+    loops, recoveries = build(main, config, spatial, reduce_, primitives)
+    for axis, index in index_map.items():
+        for recovery in recoveries:
+            index = substitute_vars(index, recovery)
+        index_map[axis] = simplify(index)
     if config.tensorize:
         _mark_tensorize(main, loops, config, target, primitives)
     if facts.vector_loop is not None:
@@ -392,7 +331,7 @@ def lower(
         op=main,
         target=target,
         loops=loops,
-        index_map=LazyIndexMap(split_specs, fuse_specs),
+        index_map=MappingProxyType(index_map),
         inlined=inlined,
         cached_tensors=facts.cached_tensors,
         primitives=primitives,
@@ -447,11 +386,10 @@ def _check_parts(config: NodeConfig, op: ComputeOp, spatial: int, reduce_: int) 
 def _split_all(op: ComputeOp, config: NodeConfig, primitives: List[str]):
     """Split every spatial, then every reduce axis into serial loops.
 
-    Returns the per-axis loops of each kind and the index-map recipe of
-    every axis (the re-composition expression is deferred to
-    :class:`LazyIndexMap`).
+    Returns the per-axis loops of each kind and each axis's index
+    expression over its split loops.
     """
-    recipes: Dict[IterVar, Tuple] = {}
+    index_map: Dict = {}
     per_kind = []
     for kind, axes, factor_lists in (
         ("spatial", op.axes, config.spatial_factors),
@@ -459,26 +397,11 @@ def _split_all(op: ComputeOp, config: NodeConfig, primitives: List[str]):
     ):
         per_axis = []
         for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
-            loops = [
-                LoopDef(Var(f"{axis.name}.{part}"), factor, (kind, idx, part))
-                for part, factor in enumerate(factors)
-            ]
-            recipes[axis] = tuple((loop.var, loop.extent) for loop in loops)
+            loops, index_map[axis] = split_axis(axis, factors, kind, idx)
             primitives.append(f"split {axis.name}({axis.extent}) -> {tuple(factors)}")
             per_axis.append(loops)
         per_kind.append(per_axis)
-    return per_kind[0], per_kind[1], recipes
-
-
-def _fuse(loops: Sequence[LoopDef], name: str, annotation: str) -> Tuple[LoopDef, Tuple]:
-    """Fuse adjacent loops into one; returns it and its recovery recipe
-    (:class:`LazyIndexMap` builds the ``(fused // trailing) % extent``
-    expressions on first read)."""
-    total = 1
-    for loop in loops:
-        total *= loop.extent
-    fused = LoopDef(Var(name), total, tuple(loop.role for loop in loops), annotation)
-    return fused, (fused.var, tuple((loop.var, loop.extent) for loop in loops))
+    return per_kind[0], per_kind[1], index_map
 
 
 def _names(loops: Sequence[LoopDef]) -> str:
@@ -538,15 +461,16 @@ def _role_order(n_spatial: int, n_reduce: int, reorder: int, target: str) -> Tup
     ))
 
 
-def _loops_gpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
-    spatial, reduce_, recipes = _split_all(op, config, primitives)
+def _loops_gpu(op: ComputeOp, config: NodeConfig, spatial, reduce_, primitives: List[str]):
     block_parts = [loops[0] for loops in spatial]
-    block_loop, block_recovery = _fuse(block_parts, f"{op.name}.blockIdx", BLOCK_X)
+    block_loop, block_recovery = fuse_loops(block_parts, f"{op.name}.blockIdx")
+    block_loop.annotation = BLOCK_X
     primitives.append("fuse " + _names(block_parts) + " -> blockIdx.x")
     primitives.append("bind blockIdx.x")
 
     thread_parts = [loops[2] for loops in spatial]
-    thread_loop, thread_recovery = _fuse(thread_parts, f"{op.name}.threadIdx", THREAD_X)
+    thread_loop, thread_recovery = fuse_loops(thread_parts, f"{op.name}.threadIdx")
+    thread_loop.annotation = THREAD_X
     primitives.append("fuse " + _names(thread_parts) + " -> threadIdx.x")
     primitives.append("bind threadIdx.x")
 
@@ -561,14 +485,14 @@ def _loops_gpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
     )
     primitives.append(f"reorder choice {config.reorder}")
     loops = [block_loop, thread_loop] + vthread_parts + inner
-    return loops, recipes, (block_recovery, thread_recovery)
+    return loops, (block_recovery, thread_recovery)
 
 
-def _loops_cpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
-    spatial, reduce_, recipes = _split_all(op, config, primitives)
+def _loops_cpu(op: ComputeOp, config: NodeConfig, spatial, reduce_, primitives: List[str]):
     outer_parts = [loops[0] for loops in spatial]
     fused = outer_parts[: config.fuse_levels]
-    fused_outer, recovery = _fuse(fused, f"{op.name}.parallel", PARALLEL)
+    fused_outer, recovery = fuse_loops(fused, f"{op.name}.parallel")
+    fused_outer.annotation = PARALLEL
     primitives.append("fuse " + _names(fused) + " -> outer")
     primitives.append("parallel outer")
 
@@ -583,13 +507,13 @@ def _loops_cpu(op: ComputeOp, config: NodeConfig, primitives: List[str]):
         [fused_outer] + outer_parts[config.fuse_levels :]
         + [loops[1] for loops in spatial] + inner
     )
-    return loops, recipes, (recovery,)
+    return loops, (recovery,)
 
 
-def _loops_fpga(op: ComputeOp, config: NodeConfig, primitives: List[str]):
-    spatial, reduce_, recipes = _split_all(op, config, primitives)
+def _loops_fpga(op: ComputeOp, config: NodeConfig, spatial, reduce_, primitives: List[str]):
     pe_parts = [loops[1] for loops in spatial]
-    pe_loop, recovery = _fuse(pe_parts, f"{op.name}.pe", PE_PARALLEL)
+    pe_loop, recovery = fuse_loops(pe_parts, f"{op.name}.pe")
+    pe_loop.annotation = PE_PARALLEL
     primitives.append("fuse " + _names(pe_parts) + " -> PE")
     loops = [loops[0] for loops in spatial] + [pe_loop] + [loops[0] for loops in reduce_]
-    return loops, recipes, (recovery,)
+    return loops, (recovery,)

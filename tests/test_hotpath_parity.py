@@ -351,7 +351,10 @@ class TestTunerTrajectoryParity:
         arms = []
         for batch_features in (True, False):
             screen = SurrogateScreen(ev.space, min_train=8, seed=0)
-            screen.use_batch_features = batch_features
+            if not batch_features:
+                screen.features_matrix = lambda points, screen=screen: np.stack(
+                    [screen.features(p) for p in points]
+                )
             for p in points[:20]:
                 screen.observe(p, ev.evaluate(p))
             decision = screen.screen(points[20:])
