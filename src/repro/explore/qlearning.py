@@ -14,7 +14,7 @@ the online network at every read, so none is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,17 +70,11 @@ class QAgent:
     ) -> Optional[Tuple[int, Point]]:
         """Pick the best unvisited direction from ``point`` by Q-value
         (epsilon-greedy); None if every neighbor was already visited."""
-        rng = rng or self._rng
-        options = [
-            (d, nb) for d, nb in self.space.neighbors(point) if nb not in visited
-        ]
-        if not options:
-            return None
-        if rng.random() < self.epsilon:
-            return options[int(rng.integers(len(options)))]
-        q_values = self.network.forward(self.space.features(point))
-        scores = q_values + self._direction_reward
-        return max(options, key=lambda item: scores[item[0]])
+        return self._choose(
+            point, visited, (),
+            lambda: self.network.forward(self.space.features(point)),
+            rng or self._rng,
+        )
 
     def choose_directions(
         self,
@@ -106,22 +100,45 @@ class QAgent:
         taken: set = set()
         choices: List[Optional[Tuple[int, Point]]] = []
         for row, point in enumerate(points):
-            options = [
-                (d, nb)
-                for d, nb in self.space.neighbors(point)
-                if nb not in visited and nb not in taken
-            ]
-            if not options:
-                choices.append(None)
-                continue
-            if rng.random() < self.epsilon:
-                choice = options[int(rng.integers(len(options)))]
-            else:
-                scores = all_q[row] + self._direction_reward
-                choice = max(options, key=lambda item: scores[item[0]])
-            taken.add(choice[1])
+            choice = self._choose(point, visited, taken, lambda: all_q[row], rng)
+            if choice is not None:
+                taken.add(choice[1])
             choices.append(choice)
         return choices
+
+    def _choose(
+        self,
+        point: Point,
+        visited: set,
+        taken: Collection[Point],
+        q_values: Callable[[], np.ndarray],
+        rng: np.random.Generator,
+    ) -> Optional[Tuple[int, Point]]:
+        """Epsilon-greedy over the neighbors of ``point`` in neither
+        ``visited`` nor ``taken``.  The neighborhood is built only on the
+        epsilon branch; the exploit branch calls ``q_values()`` once and
+        takes the best-scoring free neighbor, ties to the lower direction."""
+        space = self.space
+
+        def free(nb):
+            return nb is not None and nb not in visited and nb not in taken
+
+        for d in range(space.num_directions):
+            if free(space.neighbor(point, d)):
+                break
+        else:
+            return None
+        if rng.random() < self.epsilon:
+            options = [(d, nb) for d, nb in space.neighbors(point) if free(nb)]
+            return options[int(rng.integers(len(options)))]
+        scores = q_values() + self._direction_reward
+        if np.isnan(scores).any():  # argsort would rank NaN unlike max()
+            options = [(d, nb) for d, nb in space.neighbors(point) if free(nb)]
+            return max(options, key=lambda item: scores[item[0]])
+        for d in np.argsort(-scores, kind="stable").tolist():
+            nb = space.neighbor(point, d)
+            if free(nb):
+                return d, nb
 
     # -- learning -----------------------------------------------------------
 

@@ -107,11 +107,11 @@ class ScheduleSpace:
         ]
         self._feature_size = sum(k.feature_size for k in self.knobs)
         self._canonical_rules = self._build_canonical_rules()
-        # Hot-path tables (ISSUE #7): every per-point query the explorers
-        # issue — neighbor moves, feature encodings, decoded configs — is a
-        # pure function of the point, so precompute the per-knob answers
-        # once and memoize the per-point ones.  The caches are capped and
-        # cleared wholesale so multi-workload sessions stay bounded.
+        # Hot-path tables: neighbor moves and feature encodings are pure
+        # functions of the point, so precompute the per-knob answers once.
+        # Encodings are also memoized per point, because ``QAgent.train``
+        # re-reads them; the cache is capped and cleared wholesale so
+        # multi-workload sessions stay bounded.
         self._direction_moves: List[List[Optional[int]]] = [
             [knob.neighbor(c, local) for c in range(len(knob))]
             for ki, local in self.directions
@@ -121,7 +121,6 @@ class ScheduleSpace:
             [tuple(knob.features(c)) for c in range(len(knob))]
             for knob in self.knobs
         ]
-        self._neighbors_cache: dict = {}
         self._features_cache: dict = {}
 
     _CACHE_CAP = 8192
@@ -229,14 +228,8 @@ class ScheduleSpace:
         return tuple(replaced)
 
     def neighbors(self, point: Point) -> List[Tuple[int, Point]]:
-        """All (direction, neighbor) pairs reachable from ``point``.
-
-        Memoized per point (callers only iterate the result).
-        """
-        key = tuple(point)
-        cached = self._neighbors_cache.get(key)
-        if cached is not None:
-            return cached
+        """All (direction, neighbor) pairs reachable from ``point``, in
+        direction order: the non-None :meth:`neighbor` of each direction."""
         result = []
         for d, (ki, _) in enumerate(self.directions):
             moved = self._direction_moves[d][point[ki]]
@@ -245,9 +238,6 @@ class ScheduleSpace:
             replaced = list(point)
             replaced[ki] = moved
             result.append((d, tuple(replaced)))
-        if len(self._neighbors_cache) >= self._CACHE_CAP:
-            self._neighbors_cache.clear()
-        self._neighbors_cache[key] = result
         return result
 
     def features(self, point: Point) -> np.ndarray:

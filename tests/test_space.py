@@ -152,12 +152,23 @@ class TestScheduleSpace:
             assert space.encode(space.decode(point)) == point
 
     def test_neighbor_changes_one_knob(self):
-        space = build_space(self.out, "gpu")
         rng = np.random.default_rng(2)
-        point = space.random_point(rng)
-        for direction, neighbor in space.neighbors(point):
-            diffs = [i for i in range(len(point)) if point[i] != neighbor[i]]
-            assert len(diffs) == 1
+        for target in ("gpu", "cpu", "fpga"):
+            space = build_space(self.out, target)
+            for _ in range(20):
+                point = space.random_point(rng)
+                for direction, neighbor in space.neighbors(point):
+                    diffs = [i for i in range(len(point)) if point[i] != neighbor[i]]
+                    assert len(diffs) == 1
+                # The lazy Q-method exploit path steps ``neighbor`` one
+                # direction at a time and relies on this: ``neighbors`` is
+                # exactly the non-None single moves, in direction order.
+                single_moves = [
+                    (d, space.neighbor(point, d)) for d in range(space.num_directions)
+                ]
+                assert space.neighbors(point) == [
+                    (d, nb) for d, nb in single_moves if nb is not None
+                ]
 
     def test_space_size_is_product(self):
         space = build_space(self.out, "gpu")
