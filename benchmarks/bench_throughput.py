@@ -53,6 +53,7 @@ from repro.analysis import tensorize_rejections           # noqa: E402
 from repro.model import V100, XEON_E5_2699V4              # noqa: E402
 from repro.ops import conv2d_compute, gemm_compute, gemm_int8_compute  # noqa: E402
 from repro.optimize import optimize                       # noqa: E402
+from repro.runtime import EvalCache                       # noqa: E402
 from repro.space import build_space                       # noqa: E402
 
 TRIALS = 8
@@ -104,7 +105,7 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
         method="q",
         seed=SEED,
         workers=workers,
-        cache_dir=cache_dir,
+        eval_cache=EvalCache(cache_dir) if cache_dir else None,
         surrogate=surrogate,
         screen_ratio=screen_ratio,
     )

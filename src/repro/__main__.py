@@ -38,6 +38,7 @@ import sys
 from . import optimize
 from .model import DEVICES
 from .ops import conv2d_compute, gemm_compute, gemm_int8_compute, gemv_compute
+from .runtime import EvalCache
 from .utils import save_schedule
 
 
@@ -379,16 +380,22 @@ def measurement_health_report(tuning) -> str:
     ])
 
 
-#: Flags that only one command reads, by ``dest``: any other command
-#: rejects them rather than silently ignoring them.
+#: The commands that tune one operator.
+TUNE_COMMANDS = ("conv2d", "gemm", "gemv")
+
+#: Flags that only some commands read, by ``dest``, with those commands:
+#: any other command rejects them rather than silently ignoring them.
 COMMAND_ONLY_FLAGS = {
-    "lint_records": "lint",
-    "sample": "lint",
-    "target": "lint",
-    "enqueue": "lookup",
-    "uniform": "tune-network",
-    "max_slices": "serve",
-    "ttl": "submit",
+    **dict.fromkeys(("save", "show_code", "checkpoint", "cache_dir", "lint",
+                     "prune_space", "surrogate", "tensorize"), TUNE_COMMANDS),
+    "resume": TUNE_COMMANDS + ("tune-network",),
+    "slice_trials": ("serve", "tune-network"),
+    "padding": ("conv2d", "lint", "submit", "lookup"),
+    **dict.fromkeys(("lint_records", "sample", "target"), ("lint",)),
+    "enqueue": ("lookup",),
+    "uniform": ("tune-network",),
+    "max_slices": ("serve",),
+    "ttl": ("submit",),
 }
 
 
@@ -396,11 +403,12 @@ def main(argv=None) -> int:
     """CLI entry point: tune, print, optionally save the schedule."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, command in COMMAND_ONLY_FLAGS.items():
+    for dest, commands in COMMAND_ONLY_FLAGS.items():
         value = getattr(args, dest)
-        if value is not None and value is not False and args.operator != command:
+        if value is not None and value is not False and args.operator not in commands:
             parser.error(f"--{dest.replace('_', '-')} applies to "
-                         f"'{command}' only, not '{args.operator}'")
+                         f"{', '.join(repr(c) for c in sorted(commands))} only, "
+                         f"not '{args.operator}'")
     for flag, given in (("--resume", args.resume),
                         ("--slice-trials", args.slice_trials is not None)):
         if args.uniform and given:
@@ -423,7 +431,8 @@ def main(argv=None) -> int:
     result = optimize(
         output, device, trials=args.trials, method=args.method, seed=args.seed,
         checkpoint=args.checkpoint, resume=args.resume,
-        workers=args.workers, cache_dir=args.cache_dir,
+        workers=args.workers,
+        eval_cache=EvalCache(args.cache_dir) if args.cache_dir else None,
         lint=args.lint, prune_space=args.prune_space,
         surrogate=args.surrogate, screen_ratio=args.screen_ratio,
         tensorize=args.tensorize,

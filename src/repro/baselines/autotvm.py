@@ -114,7 +114,7 @@ class AutoTVMTuner(BaseTuner):
             batch = self._propose_batch(trial)
             for point in batch:
                 if point not in self.visited:
-                    self._evaluate(point)
+                    self._evaluate_batch([point])
             if trial + 1 >= self.warmup_batches and self.evaluated:
                 x = np.stack([self.space.features(p) for p in self.evaluated])
                 y = np.asarray(list(self.evaluated.values()))

@@ -111,9 +111,6 @@ class BaseTuner:
 
     # -- helpers -----------------------------------------------------------
 
-    def _evaluate(self, point: Point) -> float:
-        return self._evaluate_batch([point])[0]
-
     def _evaluate_batch(self, points: List[Point]) -> List[float]:
         """Evaluate candidates through the engine and fold them into the
         H set.  With ``workers=1`` this is byte-for-byte the pre-engine
@@ -322,7 +319,7 @@ class FlexTensorTuner(BaseTuner):
             # SA restart so the search escapes instead of looping on a
             # broken region.
             steps = max(1, self.steps // 2)
-            self._evaluate(self.space.random_point(self.rng))
+            self._evaluate_batch([self.space.random_point(self.rng)])
         starts = select_starting_points(
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )
@@ -337,7 +334,7 @@ class FlexTensorTuner(BaseTuner):
                     break
                 direction, neighbor = choice
                 perf_from = self.evaluated[current]
-                perf_to = self._evaluate(neighbor)
+                (perf_to,) = self._evaluate_batch([neighbor])
                 self.agent.record(
                     current, direction, neighbor,
                     normalized_reward(perf_from, perf_to),
@@ -354,7 +351,7 @@ class FlexTensorTuner(BaseTuner):
         steps = self.steps
         if self._degraded():
             steps = max(1, self.steps // 2)
-            self._evaluate(self.space.random_point(self.rng))
+            self._evaluate_batch([self.space.random_point(self.rng)])
         starts = select_starting_points(
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )
@@ -427,7 +424,7 @@ class RandomWalkTuner(BaseTuner):
 
     def _run_trial(self, trial: int) -> None:
         if self._degraded():
-            self._evaluate(self.space.random_point(self.rng))
+            self._evaluate_batch([self.space.random_point(self.rng)])
         starts = select_starting_points(
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )

@@ -161,7 +161,6 @@ def optimize(
     checkpoint_every: int = 1,
     resume: bool = False,
     workers: int = 1,
-    cache_dir=None,
     eval_cache: Optional[EvalCache] = None,
     lint: bool = False,
     prune_space: bool = False,
@@ -206,15 +205,12 @@ def optimize(
             bit-reproducible serial path; >1 overlaps simulated
             measurement time across that many virtual workers —
             ``docs/parallel.md``.
-        cache_dir: directory of a persistent cross-run evaluation cache;
+        eval_cache: a persistent cross-run
+            :class:`~repro.runtime.EvalCache` (``EvalCache(directory)``);
             warm runs serve previously measured (canonical) points for
-            free.  ``None`` (default) disables persistence.
-        eval_cache: a pre-built :class:`~repro.runtime.EvalCache` to use
-            instead of constructing one from ``cache_dir`` — lets many
-            ``optimize()`` calls (e.g. the network task scheduler's
-            per-task trial slices, ``repro.nn.tuner``) share one
-            in-memory cache without re-reading its backing file per call.
-            Takes precedence over ``cache_dir``.
+            free.  Many ``optimize()`` calls may share one open cache
+            (e.g. the network task scheduler's per-task trial slices,
+            ``repro.nn.tuner``).  ``None`` (default) disables persistence.
         lint: run the static schedule linter (``repro.analysis.lint``)
             on every candidate before measuring; statically-illegal
             points are rejected at zero simulated cost with
@@ -253,8 +249,6 @@ def optimize(
 
     # Back-end: exploration over the space.
     linter = ScheduleLinter(space.op, target, device_spec) if lint else None
-    if eval_cache is None:
-        eval_cache = EvalCache(cache_dir) if cache_dir else None
     evaluator = Evaluator(
         graph, device_spec, space=space, graph_config=graph_config,
         measure_config=measure_config, fault_injector=fault_injector,

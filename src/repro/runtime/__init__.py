@@ -13,7 +13,6 @@ from .fault import (
 from .measure import (
     Evaluator,
     MeasureConfig,
-    MeasureRecord,
     MeasureResult,
     MeasureStatus,
     materialization_seconds,
@@ -34,7 +33,6 @@ __all__ = [
     "InjectedHang",
     "InjectedRuntimeError",
     "MeasureConfig",
-    "MeasureRecord",
     "MeasureResult",
     "MeasureStatus",
     "RecordBook",

@@ -1,8 +1,8 @@
-"""Persistent cross-run evaluation cache (level 2 of the two-level cache).
+"""Persistent cross-run evaluation cache.
 
-Level 1 is the :class:`~repro.runtime.measure.Evaluator`'s in-run memo
-(raw points, drives the simulated clock).  This module adds the level-2
-store: a bounded in-memory LRU in front of an append-only JSONL file,
+The :class:`~repro.runtime.measure.Evaluator`'s in-run memo (raw points)
+answers repeat visits within one run.  This module adds the store that
+outlives the run: one in-memory index over an append-only JSONL file,
 keyed by ``(op signature, canonical point)`` so results survive across
 processes and are shared by every tuner and ``tune_workload()``.
 
@@ -24,12 +24,11 @@ resumed run measures (and bills) them again as an uninterrupted run did.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .appendlog import NO_LOAD_STATS, AppendLog
+from .appendlog import AppendLog
 
 #: On-disk format version; bump when the entry layout changes.
 EVALCACHE_VERSION = 1
@@ -39,50 +38,42 @@ EVALCACHE_FILENAME = "evalcache.jsonl"
 
 
 class EvalCache:
-    """Two-level evaluation memo: in-memory LRU over an on-disk JSONL log.
+    """Evaluation memo of one cache directory: an in-memory index over
+    its on-disk JSONL log.
 
     The cache maps ``(op_signature, canonical_point)`` to
     ``(performance, status_value)``.  ``op_signature`` is produced by the
     evaluator and encodes operator structure, shapes, target and device,
-    so one directory can safely serve many workloads.  Outside a
-    :meth:`deferred` span, writes append one fsync'd line; inside one
-    they are buffered until :meth:`flush`.  Reads hit the LRU first and
-    fall back to the disk-loaded index.
+    so one directory can safely serve many workloads.  Opening the cache
+    replays the log into the index; outside a :meth:`deferred` span,
+    writes append one fsync'd line, inside one they are buffered until
+    :meth:`flush`.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[Union[str, Path]] = None,
-        max_memory_entries: int = 4096,
-    ):
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[Tuple[str, Tuple[int, ...]], Tuple[float, str]]" = OrderedDict()
-        self._disk: Dict[Tuple[str, Tuple[int, ...]], Tuple[float, str]] = {}
+    def __init__(self, cache_dir: Union[str, Path]):
+        self.cache_dir = Path(cache_dir)
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.disk_hits = 0
         # Entries stored since the last flush of the open deferred span
         # (None: no span open, every put is durable at once).
         self._pending: Optional[List[Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]]] = None
-        self._log: Optional[AppendLog] = None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._log = AppendLog(self.cache_dir / EVALCACHE_FILENAME, "cache entry")
-            self._disk.update(self._log.replay(_parse_entry))
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._log = AppendLog(self.cache_dir / EVALCACHE_FILENAME, "cache entry")
+        self._index: Dict[Tuple[str, Tuple[int, ...]], Tuple[float, str]] = dict(
+            self._log.replay(_parse_entry)
+        )
 
     @property
-    def path(self) -> Optional[Path]:
-        return self._log.path if self._log is not None else None
+    def path(self) -> Path:
+        return self._log.path
 
     def _append(self, entries) -> None:
-        if self._log is not None:
-            self._log.append(
-                {"v": EVALCACHE_VERSION, "sig": signature, "point": list(point),
-                 "perf": perf, "status": status}
-                for (signature, point), (perf, status) in entries
-            )
+        self._log.append(
+            {"v": EVALCACHE_VERSION, "sig": signature, "point": list(point),
+             "perf": perf, "status": status}
+            for (signature, point), (perf, status) in entries
+        )
 
     @contextmanager
     def deferred(self) -> Iterator[None]:
@@ -102,8 +93,7 @@ class EvalCache:
             yield
         except BaseException:
             for key, _value in self._pending:
-                self._memory.pop(key, None)
-                self._disk.pop(key, None)
+                self._index.pop(key, None)
             self.stores -= len(self._pending)
             raise
         else:
@@ -122,49 +112,28 @@ class EvalCache:
 
     def get(self, signature: str, point: Tuple[int, ...]) -> Optional[Tuple[float, str]]:
         """Cached ``(performance, status)`` for a canonical point, or None."""
-        key = (signature, tuple(point))
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
+        entry = self._index.get((signature, tuple(point)))
+        if entry is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return entry
-        entry = self._disk.get(key)
-        if entry is not None:
-            self.hits += 1
-            self.disk_hits += 1
-            self._remember(key, entry)
-            return entry
-        self.misses += 1
-        return None
+        return entry
 
     def put(self, signature: str, point: Tuple[int, ...], perf: float, status: str) -> None:
         """Store one finished (permanent-status) evaluation."""
         key = (signature, tuple(point))
-        if key in self._memory or key in self._disk:
+        if key in self._index:
             return
         self.stores += 1
         value = (perf, status)
-        self._remember(key, value)
-        if self.cache_dir is not None:
-            # Mirror into the durable index too, so the entry survives
-            # LRU eviction within this process exactly as it does a
-            # restart.
-            self._disk[key] = value
+        self._index[key] = value
         if self._pending is not None:
             self._pending.append((key, value))
         else:
             self._append([(key, value)])
 
-    def _remember(self, key, value) -> None:
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-
     def __len__(self) -> int:
-        keys = set(self._disk)
-        keys.update(self._memory)
-        return len(keys)
+        return len(self._index)
 
     @property
     def hit_rate(self) -> float:
@@ -176,11 +145,10 @@ class EvalCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
             "stores": self.stores,
             "hit_rate": self.hit_rate,
             "entries": len(self),
-            **(self._log.stats() if self._log is not None else NO_LOAD_STATS),
+            **self._log.stats(),
         }
 
 

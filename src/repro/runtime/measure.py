@@ -178,10 +178,6 @@ class MeasureResult:
         )
 
 
-#: Backwards-compatible alias: the seed called the record type MeasureRecord.
-MeasureRecord = MeasureResult
-
-
 @dataclass
 class MeasureConfig:
     """Timeout / retry / quarantine policy of the measurement pipeline.
@@ -283,12 +279,9 @@ class Evaluator:
         searching".  Transient failures are *not* cached, so a later
         visit re-measures — unless the point has been quarantined.
 
-        This is the *strict* serial path: with no persistent cache
-        attached its behaviour (including which points get measured) is
-        bit-identical to the pre-engine evaluator.  Canonical-equivalence
-        serving — one measurement covering permuted-but-equivalent
-        points — happens in :meth:`lookup`, the probe the batch engine
-        uses, and through the opt-in persistent cache below.
+        This is the *strict* serial path (``workers=1``): without a
+        persistent cache it serves no canonical equivalents, which
+        :meth:`lookup`, the batch engine's probe, does.
         """
         if point in self.cache:
             self.num_memo_hits += 1
@@ -303,8 +296,7 @@ class Evaluator:
             performance = self._disk_lookup(point)
             if performance is not None:
                 return performance
-        result = self.measure(point)
-        return result.performance
+        return self.measure(point).performance
 
     def lint_reject(self, point: Point) -> Optional[float]:
         """Statically reject a point, or None if it passes (or no linter).
@@ -392,13 +384,9 @@ class Evaluator:
         return canon
 
     def op_signature(self) -> str:
-        """Stable identity of (operator, shapes, device, run settings) —
-        the first half of the persistent cache key.  Two evaluators share
-        cache entries iff their signatures match, so the signature folds
-        in everything that changes a measured value: the compute
-        definition (pseudo-code hash covers shapes and expressions), the
-        target and device, graph inline decisions, the timeout policy,
-        and the fault-injector configuration when one is active."""
+        """This evaluator's :func:`op_signature_of`, the first half of the
+        persistent cache key: two evaluators share cache entries iff their
+        signatures match."""
         if self._op_signature is None:
             self._op_signature = op_signature_of(
                 self.graph, self.device_spec,
@@ -419,13 +407,20 @@ class Evaluator:
         )
 
     def measure(self, point: Point) -> MeasureResult:
-        """Run the full fault-tolerant measurement pipeline on one point."""
+        """Run the full fault-tolerant measurement pipeline on one point
+        and bill it on the evaluator's own clock."""
         outcome = self.outcome(point, self._attempt_counts.get(point, 0))
+        _status, seconds, attempts, _error = outcome
         # Transient: each retried attempt pays the failed attempt plus a
         # backoff pause.  Real tuners pay wall-clock for both.
-        for retry_index in range(outcome[2] - 1):
+        for retry_index in range(attempts - 1):
             self.clock += self.retry_charge(retry_index)
-        return self.apply_outcome(point, outcome)
+        # A hang (or a kernel past the timeout) bills the *full* timeout
+        # budget: real tuners pay wall-clock waiting for the deadline.
+        self.clock += self.model.measurement_seconds(
+            min(seconds, self.measure_config.charge_cap)
+        )
+        return self.apply_outcome(point, outcome, clock=self.clock)
 
     def outcome(self, point: Point, base_attempt: int) -> Outcome:
         """Run the retry policy on one point, mutating no simulated state.
@@ -436,16 +431,47 @@ class Evaluator:
         point was measured alone or inside a batch.  A transient
         :attr:`MeasureStatus.RUNTIME_ERROR` is retried up to
         ``max_retries`` times; the final attempt's outcome is returned.
+        Touches no counters, no clock and no records (the lowering memo
+        is touched, but it is a pure acceleration).
         """
+        config = self.measure_config
+        injector = self.fault_injector
         attempts = 0
         while True:
             attempts += 1
-            status, seconds, error = self._attempt_at(point, base_attempt + attempts - 1)
-            if (
-                status is not MeasureStatus.RUNTIME_ERROR
-                or attempts > self.measure_config.max_retries
-            ):
-                return status, seconds, attempts, error
+            attempt_index = base_attempt + attempts - 1
+            fault = Fault.NONE if injector is None else injector.decide(point, attempt_index)
+            try:
+                if fault is Fault.COMPILE:
+                    raise InjectedCompileError("injected compile failure")
+                scheduled = self.lower_point(point)
+                if fault is Fault.HANG:
+                    raise InjectedHang("injected kernel hang")
+                if fault is Fault.TRANSIENT:
+                    raise InjectedRuntimeError("injected transient device error")
+                seconds = self.model.estimate_seconds(scheduled)
+            except LoweringError as exc:
+                return MeasureStatus.LOWER_ERROR, INVALID_TIME, attempts, str(exc)
+            except InjectedHang as exc:
+                return MeasureStatus.RUN_TIMEOUT, INVALID_TIME, attempts, str(exc)
+            except InjectedRuntimeError as exc:
+                if attempts > config.max_retries:
+                    return MeasureStatus.RUNTIME_ERROR, INVALID_TIME, attempts, str(exc)
+                continue
+            except Exception as exc:  # noqa: BLE001 -- ValidationError, arithmetic
+                # errors from exotic points, injected compile errors: a broken
+                # candidate must never kill the tuning run.
+                return (MeasureStatus.COMPILE_ERROR, INVALID_TIME, attempts,
+                        f"{type(exc).__name__}: {exc}")
+            if seconds >= INVALID_TIME:
+                return (MeasureStatus.COMPILE_ERROR, INVALID_TIME, attempts,
+                        "model rejected configuration")
+            if injector is not None:
+                seconds *= injector.jitter_factor(point, attempt_index)
+            seconds += self._producer_overhead
+            if config.timeout_seconds is not None and seconds > config.timeout_seconds:
+                return MeasureStatus.RUN_TIMEOUT, seconds, attempts, "kernel exceeded timeout"
+            return MeasureStatus.OK, seconds, attempts, None
 
     def outcome_cost(self, outcome: Outcome) -> float:
         """Simulated seconds one outcome bills — identical accounting to
@@ -461,73 +487,23 @@ class Evaluator:
         )
         return cost
 
-    def _attempt_at(
-        self, point: Point, attempt_index: int
-    ) -> Tuple[MeasureStatus, float, Optional[str]]:
-        """One measurement attempt at an explicit lifetime attempt index.
-
-        Pure with respect to *simulated* state: touches no counters, no
-        clock, no records.  (The lowering memo is touched, but it is a
-        pure acceleration with no effect on results.)
-        """
-        config = self.measure_config
-        fault = Fault.NONE
-        if self.fault_injector is not None:
-            fault = self.fault_injector.decide(point, attempt_index)
-        try:
-            if fault is Fault.COMPILE:
-                raise InjectedCompileError("injected compile failure")
-            scheduled = self.lower_point(point)
-            if fault is Fault.HANG:
-                raise InjectedHang("injected kernel hang")
-            if fault is Fault.TRANSIENT:
-                raise InjectedRuntimeError("injected transient device error")
-            seconds = self.model.estimate_seconds(scheduled)
-        except LoweringError as exc:
-            return MeasureStatus.LOWER_ERROR, INVALID_TIME, str(exc)
-        except InjectedHang as exc:
-            return MeasureStatus.RUN_TIMEOUT, INVALID_TIME, str(exc)
-        except InjectedRuntimeError as exc:
-            return MeasureStatus.RUNTIME_ERROR, INVALID_TIME, str(exc)
-        except Exception as exc:  # noqa: BLE001 -- ValidationError, arithmetic
-            # errors from exotic points, injected compile errors: a broken
-            # candidate must never kill the tuning run (ISSUE #1).
-            return MeasureStatus.COMPILE_ERROR, INVALID_TIME, f"{type(exc).__name__}: {exc}"
-        if seconds >= INVALID_TIME:
-            return MeasureStatus.COMPILE_ERROR, INVALID_TIME, "model rejected configuration"
-        if self.fault_injector is not None:
-            seconds *= self.fault_injector.jitter_factor(point, attempt_index)
-        seconds += self._producer_overhead
-        if config.timeout_seconds is not None and seconds > config.timeout_seconds:
-            return MeasureStatus.RUN_TIMEOUT, seconds, "kernel exceeded timeout"
-        return MeasureStatus.OK, seconds, None
-
-    def apply_outcome(
-        self, point: Point, outcome: Outcome, clock: Optional[float] = None
-    ) -> MeasureResult:
+    def apply_outcome(self, point: Point, outcome: Outcome, clock: float) -> MeasureResult:
         """Fold an :meth:`outcome` into evaluator state: attempt counts,
-        then charge the clock, classify, cache, and record the measurement.
+        then classify, cache, and record the measurement as completing at
+        simulated time ``clock``.
 
-        ``clock=None`` is the serial path: the evaluator's own clock
-        advances by the (capped) measurement cost.  The batch engine
-        passes an explicit simulated completion time instead — worker
-        costs overlap, so the engine owns the clock arithmetic.
+        Billing is the caller's: :meth:`measure` advances the evaluator's
+        own clock first, and the batch engine passes each job's completion
+        time on its overlapping workers.
         """
         status, seconds, attempts, error = outcome
         self._attempt_counts[point] = self._attempt_counts.get(point, 0) + attempts
-        config = self.measure_config
         if status is MeasureStatus.OK and attempts > 1:
             status = MeasureStatus.FLAKY_RETRIED
         if status.ok:
             performance = self.flops / seconds / 1e9
         else:
             performance = 0.0
-        if clock is None:
-            # A hang (or a kernel past the timeout) bills the *full*
-            # timeout budget — real tuners pay wall-clock waiting for the
-            # deadline.
-            self.clock += self.model.measurement_seconds(min(seconds, config.charge_cap))
-            clock = self.clock
         self.num_measurements += 1
         value = status.value
         if status.permanent:

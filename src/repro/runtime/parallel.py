@@ -70,40 +70,39 @@ class BatchEngine:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_batch(self, points: Sequence[Point]) -> List[float]:
-        """Performance values for ``points``, in submission order."""
+        """Performance values for ``points``, in submission order.
+
+        The batch's counters are taken here, once, from the evaluator:
+        each submitted point counts exactly once, as measured, lint
+        rejected, deduplicated, screened, or else cached (memo, canonical
+        index, quarantine or persistent cache).
+        """
+        ev = self.evaluator
         started = time.perf_counter()
+        measured, linted = ev.num_measurements, ev.num_lint_rejects
+        skipped = self.num_deduped + self.num_screened
         try:
             if self.surrogate is not None:
                 return self._evaluate_screened(points)
-            if self.workers == 1:
-                return self._evaluate_serial(points)
-            return self._evaluate_parallel(points)
+            if self.workers > 1:
+                return self._evaluate_parallel(points)
+            # workers=1: literally the serial loop, so seeded runs stay
+            # bit-identical to calling ``evaluator.evaluate`` per point.
+            clock = ev.clock
+            results = [ev.evaluate(p) for p in points]
+            self.span_seconds += ev.clock - clock
+            self.busy_seconds += ev.clock - clock
+            return results
         finally:
-            self.wall_seconds += time.perf_counter() - started
+            measured = ev.num_measurements - measured
+            linted = ev.num_lint_rejects - linted
+            skipped = self.num_deduped + self.num_screened - skipped
+            self.num_measured += measured
+            self.num_lint_rejected += linted
+            self.num_cached += len(points) - measured - linted - skipped
             self.num_batches += 1
             self.num_submitted += len(points)
-
-    def _evaluate_serial(self, points: Sequence[Point]) -> List[float]:
-        """``workers=1``: the exact serial evaluation loop.
-
-        Per-point semantics (duplicate transients re-measure, quarantine
-        ordering, clock accounting) are byte-for-byte those of calling
-        ``evaluator.evaluate`` in a plain loop — because that is what
-        this is.
-        """
-        ev = self.evaluator
-        clock_before = ev.clock
-        measured_before = ev.num_measurements
-        lint_before = ev.num_lint_rejects
-        results = [ev.evaluate(p) for p in points]
-        measured = ev.num_measurements - measured_before
-        lint_rejected = ev.num_lint_rejects - lint_before
-        self.num_measured += measured
-        self.num_lint_rejected += lint_rejected
-        self.num_cached += len(points) - measured - lint_rejected
-        self.span_seconds += ev.clock - clock_before
-        self.busy_seconds += ev.clock - clock_before
-        return results
+            self.wall_seconds += time.perf_counter() - started
 
     def _evaluate_screened(self, points: Sequence[Point]) -> List[float]:
         """The full measure pipeline with the surrogate stage enabled:
@@ -125,7 +124,7 @@ class BatchEngine:
         decision = surrogate.screen([p for _, p in candidates])
         for position, predicted in decision.screened:
             results[candidates[position][0]] = predicted
-            self.num_screened += 1
+        self.num_screened += len(decision.screened)
         if decision.cost_seconds:
             # The whole batch pays one (near-zero) inference pass.
             ev.charge(decision.cost_seconds)
@@ -134,10 +133,13 @@ class BatchEngine:
         forward_points = [candidates[position][1] for position in decision.forward]
         records_before = len(ev.records)
         if forward_points:
-            if self.workers == 1:
-                performances = self._evaluate_serial(forward_points)
-            else:
+            if self.workers > 1:
                 performances = self._evaluate_parallel(forward_points)
+            else:
+                clock = ev.clock
+                performances = [ev.evaluate(p) for p in forward_points]
+                self.span_seconds += ev.clock - clock
+                self.busy_seconds += ev.clock - clock
             for position, performance in zip(decision.forward, performances):
                 results[candidates[position][0]] = performance
         # Online training: every measurement this batch actually ran.
@@ -166,12 +168,10 @@ class BatchEngine:
             rejected = ev.lint_reject(point)
             if rejected is not None:
                 results[i] = rejected
-                self.num_lint_rejected += 1
                 continue
             cached = ev.lookup(point)
             if cached is not None:
                 results[i] = cached
-                self.num_cached += 1
                 continue
             candidates.append((i, point))
         return candidates
@@ -221,7 +221,6 @@ class BatchEngine:
             for i in indices:
                 results[i] = result.performance
         ev.clock = batch_start + makespan
-        self.num_measured += len(jobs)
         self.busy_seconds += sum(loads)
         self.span_seconds += makespan
         return [r for r in results]

@@ -35,6 +35,7 @@ from ..model import DEVICES
 from ..ops import convolution as _conv
 from ..ops import linalg as _linalg
 from ..ops.workloads import _BUILDERS
+from ..runtime.cache import EvalCache
 from ..runtime.records import RecordBook, TuningRecord, workload_key
 from .jobstore import Job, JobState, JobStore
 from .scheduler import Scheduler, ServeConfig
@@ -292,7 +293,9 @@ class TuningService:
             checkpoint_every=1,
             resume=True,
             workers=self.config.workers,
-            cache_dir=str(self.cache_dir),
+            # A fresh open per slice: the cache replays what other slices
+            # and processes made durable since.
+            eval_cache=EvalCache(self.cache_dir),
         )
         slice_seconds = result.tuning.exploration_seconds - job.sim_seconds
         job.trials_done = target_trials

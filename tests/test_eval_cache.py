@@ -1,4 +1,4 @@
-"""Persistent two-level evaluation cache (ISSUE #2): hit/miss
+"""Persistent evaluation cache: hit/miss
 accounting, on-disk round-trip, corruption tolerance, cross-run warm
 starts, and key isolation between workloads/devices/fault setups."""
 
@@ -48,24 +48,6 @@ class TestAccounting:
         assert (cache.hits, cache.misses, cache.stores) == (1, 2, 1)
         assert cache.hit_rate == pytest.approx(1 / 3)
         assert cache.stats()["entries"] == 1
-
-    def test_memory_only_mode(self):
-        cache = EvalCache(None)
-        cache.put("sig", (1,), 2.0, "ok")
-        assert cache.get("sig", (1,)) == (2.0, "ok")
-        assert cache.path is None
-
-    def test_lru_bound_respects_disk_index(self, tmp_path):
-        cache = EvalCache(tmp_path, max_memory_entries=2)
-        for i in range(5):
-            cache.put("sig", (i,), float(i), "ok")
-        assert len(cache._memory) == 2
-        # Evicted entries still resolve through the durable index.
-        assert cache.get("sig", (0,)) == (0.0, "ok")
-        assert cache.disk_hits == 1
-        reloaded = EvalCache(tmp_path, max_memory_entries=2)
-        assert reloaded.get("sig", (0,)) == (0.0, "ok")
-        assert reloaded.disk_hits == 1
 
 
 class TestDiskRoundTrip:
@@ -255,14 +237,6 @@ class TestDeferredSpan:
         assert restarted.get("sig", (2, 7)) == (0.0, "compile_error")
         assert restarted.get("sig", (9,)) is None
         assert len(restarted) == 2
-
-    def test_memory_only_cache_rolls_back_too(self):
-        cache = EvalCache(None)
-        with pytest.raises(MeasureKilled):
-            with cache.deferred():
-                cache.put("sig", (1,), 1.0, "ok")
-                raise MeasureKilled
-        assert cache.get("sig", (1,)) is None
 
 
 class TestTunerCommitPoints:

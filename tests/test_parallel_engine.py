@@ -9,17 +9,20 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis import ScheduleLinter
 from repro.explore import (
     FlexTensorTuner,
     PMethodTuner,
     RandomSampleTuner,
     RandomWalkTuner,
+    SurrogateScreen,
 )
 from repro.model import DEVICES, V100, XEON_E5_2699V4
 from repro.ops import conv2d_compute, gemm_compute
 from repro.optimize import optimize
 from repro.runtime import (
     BatchEngine,
+    EvalCache,
     Evaluator,
     FaultInjector,
     MeasureConfig,
@@ -443,3 +446,132 @@ class TestFaultedTrajectoryPins:
         assert tuning.curve[-1][0] == seconds
         curve = json.dumps([list(entry) for entry in tuning.curve])
         assert hashlib.sha256(curve.encode()).hexdigest()[:16] == curve_digest
+
+
+def accounting(stats):
+    """``engine.stats()`` without its wall-clock fields, as (per-point
+    counters, exact simulated seconds, exact utilization, SHA-256 of the
+    whole remaining payload).  Of the eval cache's own counters only
+    hits, misses, stores and entries are kept."""
+    stats = {k: v for k, v in stats.items()
+             if k not in ("wall_seconds", "points_per_wall_second")}
+    if "eval_cache" in stats:
+        stats["eval_cache"] = {k: stats["eval_cache"][k]
+                               for k in ("hits", "misses", "stores", "entries")}
+    counts = tuple(stats[k] for k in (
+        "batches", "points_submitted", "points_measured", "points_cached",
+        "points_deduped", "points_lint_rejected", "points_screened",
+    ))
+    # Every submitted point is counted exactly once.
+    assert sum(counts[2:]) == counts[1]
+    payload = json.dumps(stats, sort_keys=True)
+    return (counts, stats["simulated_seconds"], stats["utilization"],
+            hashlib.sha256(payload.encode()).hexdigest()[:16])
+
+
+def mixed_batches(ev):
+    """Two batches that reach every engine counter: fresh points (some
+    statically illegal), exact repeats, unroll variants of earlier points
+    (canonical duplicates), then a batch re-submitting half the first."""
+    ui = knob_index(ev.space, "unroll")
+    fresh = distinct_points(ev, 20, seed=5)
+    variants = []
+    for point in fresh[3:6]:
+        for depth in (1, 2):
+            variant = list(point)
+            variant[ui] = depth
+            variants.append(tuple(variant))
+    return [fresh + fresh[:3] + variants,
+            fresh[::2] + distinct_points(ev, 24, seed=6)[20:]]
+
+
+class TestEngineAccountingPins:
+    """``engine.stats()`` pinned exactly, wall time aside, on every engine
+    path: serial and ``workers=4`` Q, P and random-walk tunes, surrogate
+    screening, static linting, fault injection with transient retries, a
+    cold then a warm persistent cache, and mixed batches with repeats,
+    canonical duplicates and lint rejects.  Recorded before the
+    engine's counters moved into ``evaluate_batch``."""
+
+    @staticmethod
+    def tune(workers, method="q", gemm=False, faults=False, **kwargs):
+        out = (gemm_compute(256, 256, 256, name="g") if gemm
+               else conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="c"))
+        if faults:
+            kwargs.update(
+                fault_injector=FaultInjector(
+                    compile_error_rate=0.05, hang_rate=0.05,
+                    transient_error_rate=0.3, jitter=0.05, seed=0,
+                ),
+                measure_config=MeasureConfig(timeout_seconds=0.5),
+            )
+        return optimize(out, V100, trials=8, method=method, workers=workers,
+                        seed=0, **kwargs).tuning.throughput
+
+    @pytest.mark.parametrize("workers,options,expected", [
+        (1, {"method": "q"},
+         ((129, 132, 132, 0, 0, 0, 0), 132.00755351211458, 1.0, "97c4d7934f8d071f")),
+        (4, {"method": "q"},
+         ((33, 132, 131, 1, 0, 0, 0), 33.00210190002415, 0.9924145326734664,
+          "8d7cd9402578af67")),
+        (1, {"method": "p"},
+         ((9, 533, 533, 0, 0, 0, 0), 533.0289629194746, 1.0, "22b4d43e8d333055")),
+        (4, {"method": "p"},
+         ((9, 533, 489, 44, 0, 0, 0), 125.00678004845904, 0.9780003972302134,
+          "980419cfa4e9d961")),
+        (1, {"method": "random-walk"},
+         ((9, 36, 36, 0, 0, 0, 0), 36.00198000859756, 1.0, "22160e627de8f6a8")),
+        (4, {"method": "random-walk"},
+         ((9, 36, 35, 1, 0, 0, 0), 9.000598853677726, 0.9722111433256311,
+          "9258f250444c5654")),
+        (1, {"surrogate": True},
+         ((129, 132, 71, 0, 0, 0, 61), 71.01578165983518, 1.0, "7b3fa39046d5e3e6")),
+        (4, {"surrogate": True},
+         ((33, 132, 55, 0, 0, 0, 77), 33.013780081407745, 0.41660553049982574,
+          "17980a9cd12a2f05")),
+        (1, {"gemm": True, "lint": True},
+         ((129, 132, 130, 0, 0, 2, 0), 130.0246853979301, 1.0, "d79bbd4cf6687b74")),
+        (4, {"gemm": True, "lint": True},
+         ((33, 132, 120, 11, 0, 1, 0), 32.00927246090718, 0.9374257652199623,
+          "d0c23dbab9d8f8e0")),
+        (4, {"gemm": True, "lint": True, "method": "random-sample"},
+         ((9, 36, 33, 0, 0, 3, 0), 12.384164717446513, 0.7367972614185636,
+          "312f3ea507f98d97")),
+        (1, {"faults": True},
+         ((122, 125, 125, 0, 0, 0, 0), 230.8079728670145, 1.0, "b68a55fc40175c45")),
+        (4, {"faults": True},
+         ((32, 125, 122, 3, 0, 0, 0), 102.50293591963087, 0.5509885709247937,
+          "7d4d59f2b819ff3a")),
+    ])
+    def test_tune_accounting_is_pinned(self, workers, options, expected):
+        assert accounting(self.tune(workers, **options)) == expected
+
+    @pytest.mark.parametrize("workers,cold,warm", [
+        (1,
+         ((129, 132, 132, 0, 0, 0, 0), 132.00755351211458, 1.0, "9b153344aa9d45c3"),
+         ((129, 132, 0, 132, 0, 0, 0), 0.0, 0.0, "41038927ece3632b")),
+        (4,
+         ((33, 132, 131, 1, 0, 0, 0), 33.00210190002415, 0.9924145326734664,
+          "548e19c166932ebc"),
+         ((33, 132, 0, 132, 0, 0, 0), 0.0, 0.0, "7d09e6c04c6ee508")),
+    ])
+    def test_cache_accounting_is_pinned(self, tmp_path, workers, cold, warm):
+        assert accounting(self.tune(workers, eval_cache=EvalCache(tmp_path))) == cold
+        assert accounting(self.tune(workers, eval_cache=EvalCache(tmp_path))) == warm
+
+    @pytest.mark.parametrize("workers,screened,expected", [
+        (1, False, ((2, 43, 27, 14, 0, 2, 0), 44.560132365342376, 1.0, "6e37d915c157fc6b")),
+        (1, True, ((2, 43, 25, 14, 0, 2, 2), 36.82268093145373, 1.0, "f28b1bbe4a5bc434")),
+        (4, False, ((2, 43, 24, 11, 6, 2, 0), 15.010029626721037, 0.6668712699275516,
+                    "73d69cca92640d18")),
+        (4, True, ((2, 43, 22, 11, 6, 2, 2), 10.012362870931378, 0.8065423481398727,
+                   "f58c485ef7b30573")),
+    ])
+    def test_mixed_batch_accounting_is_pinned(self, workers, screened, expected):
+        out = gemm_compute(256, 256, 256, name="g")
+        ev = Evaluator(out, V100, linter=ScheduleLinter(out.op, "gpu", V100))
+        screen = SurrogateScreen(ev.space, screen_ratio=0.5, seed=0) if screened else None
+        engine = BatchEngine(ev, workers=workers, surrogate=screen)
+        for batch in mixed_batches(ev):
+            engine.evaluate_batch(batch)
+        assert accounting(engine.stats()) == expected

@@ -149,6 +149,17 @@ class TestCli:
         ["gemm", "--uniform"],
         ["submit", "--max-slices", "0"],
         ["serve", "--ttl", "5"],
+        ["status", "--surrogate"],
+        ["status", "--lint"],
+        ["status", "--show-code"],
+        ["lookup", "--save", "x.json"],
+        ["lookup", "--checkpoint", "c.ckpt"],
+        ["serve", "--cache-dir", "cache"],
+        ["lint", "--prune-space"],
+        ["tune-network", "--tensorize"],
+        ["submit", "--resume"],
+        ["submit", "--slice-trials", "3"],
+        ["gemm", "--padding", "1"],
     ])
     def test_ignored_flag_exits_nonzero(self, argv, capsys):
         from repro.__main__ import main

@@ -89,8 +89,8 @@ def check_points(ev: Evaluator, seed: int, count: int = POINTS):
             facts = ev.lower_point(point)
             assert facts == lowered_facts(scheduled)
             assert ev.model.estimate_seconds(facts) == ev.model.estimate_seconds(scheduled)
-        outcome = ev._attempt_at(point, 0)
-        assert outcome == full._attempt_at(point, 0)
+        outcome = ev.outcome(point, 0)
+        assert outcome == full.outcome(point, 0)
         statuses.append(outcome[0])
     return statuses
 
