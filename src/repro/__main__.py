@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve: stop after this many slices (default: "
                              "run until idle)")
     parser.add_argument("--max-queue", type=int, default=64,
-                        help="serve/submit: global bound on active jobs")
+                        help="submit/lookup: global bound on active jobs")
     parser.add_argument("--max-crashes", type=int, default=3,
                         help="serve: crashes before a job is quarantined")
     parser.add_argument("--enqueue", action="store_true",
@@ -386,16 +386,19 @@ TUNE_COMMANDS = ("conv2d", "gemm", "gemv")
 #: Flags that only some commands read, by ``dest``, with those commands:
 #: any other command rejects them rather than silently ignoring them.
 COMMAND_ONLY_FLAGS = {
-    **dict.fromkeys(("save", "show_code", "checkpoint", "cache_dir", "lint",
-                     "prune_space", "surrogate", "tensorize"), TUNE_COMMANDS),
+    **dict.fromkeys(("save", "show_code", "checkpoint", "cache_dir", "lint", "prune_space",
+                     "surrogate", "screen_ratio", "tensorize"), TUNE_COMMANDS),
+    "workers": TUNE_COMMANDS + ("serve",),
     "resume": TUNE_COMMANDS + ("tune-network",),
+    "store": ("serve", "submit", "status", "lookup", "tune-network"),
     "slice_trials": ("serve", "tune-network"),
     "padding": ("conv2d", "lint", "submit", "lookup"),
     **dict.fromkeys(("lint_records", "sample", "target"), ("lint",)),
+    **dict.fromkeys(("tenant", "op", "max_queue"), ("submit", "lookup")),
+    **dict.fromkeys(("priority", "ttl"), ("submit",)),
     "enqueue": ("lookup",),
-    "uniform": ("tune-network",),
-    "max_slices": ("serve",),
-    "ttl": ("submit",),
+    **dict.fromkeys(("network", "uniform"), ("tune-network",)),
+    **dict.fromkeys(("max_slices", "max_crashes"), ("serve",)),
 }
 
 
@@ -403,29 +406,25 @@ def main(argv=None) -> int:
     """CLI entry point: tune, print, optionally save the schedule."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A parse into a namespace that holds every dest fills in no defaults.
+    given = {dest for dest, value in vars(parser.parse_args(
+        argv, argparse.Namespace(**dict.fromkeys(vars(args))))).items() if value is not None}
     for dest, commands in COMMAND_ONLY_FLAGS.items():
-        value = getattr(args, dest)
-        if value is not None and value is not False and args.operator not in commands:
+        if dest in given and args.operator not in commands:
             parser.error(f"--{dest.replace('_', '-')} applies to "
                          f"{', '.join(repr(c) for c in sorted(commands))} only, "
                          f"not '{args.operator}'")
-    for flag, given in (("--resume", args.resume),
-                        ("--slice-trials", args.slice_trials is not None)):
-        if args.uniform and given:
-            parser.error(f"{flag} has no effect with --uniform: the uniform "
-                         "baseline has no scheduler and keeps no checkpoints")
-    if args.operator == "lint":
-        return lint_command(args)
-    if args.operator == "serve":
-        return serve_command(args)
-    if args.operator == "submit":
-        return submit_command(args)
-    if args.operator == "status":
-        return status_command(args)
-    if args.operator == "lookup":
-        return lookup_command(args)
-    if args.operator == "tune-network":
-        return tune_network_command(args)
+    if "screen_ratio" in given and not args.surrogate:
+        parser.error("--screen-ratio applies to tunes with --surrogate only")
+    for dest in ("resume", "slice_trials"):
+        if args.uniform and dest in given:
+            parser.error(f"--{dest.replace('_', '-')} has no effect with --uniform: the "
+                         "uniform baseline has no scheduler and keeps no checkpoints")
+    command = {"lint": lint_command, "serve": serve_command, "submit": submit_command,
+               "status": status_command, "lookup": lookup_command,
+               "tune-network": tune_network_command}.get(args.operator)
+    if command is not None:
+        return command(args)
     output = build_operator(args)
     device = DEVICES[args.device]
     result = optimize(

@@ -358,8 +358,8 @@ class NetworkTaskScheduler:
         topup_frac: float = 0.25,
         max_restarts: int = 1,
         restart_trials: Optional[int] = None,
-        records: Optional[Union[RecordBook, str, Path]] = None,
-        eval_cache: Optional[Union[EvalCache, str, Path]] = None,
+        records: Optional[RecordBook] = None,
+        eval_cache: Optional[EvalCache] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
         chaos: Optional[NetworkChaos] = None,
@@ -390,11 +390,7 @@ class NetworkTaskScheduler:
         )
         self.measure_config = measure_config
         self.tuner_kwargs = tuner_kwargs
-        if isinstance(records, (str, Path)):
-            records = RecordBook(records)
         self.records = records
-        if isinstance(eval_cache, (str, Path)):
-            eval_cache = EvalCache(eval_cache)
         self.eval_cache = eval_cache
         self.chaos = chaos
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
@@ -924,8 +920,8 @@ def _tune_uniform(
     method: str,
     fuse: bool,
     seed: int,
-    records: Optional[Union[RecordBook, str, Path]],
-    eval_cache: Optional[Union[EvalCache, str, Path]],
+    records: Optional[RecordBook],
+    eval_cache: Optional[EvalCache],
     measure_config: Optional[MeasureConfig],
     **tuner_kwargs,
 ) -> NetworkTuneResult:
@@ -935,10 +931,6 @@ def _tune_uniform(
     two modes are directly comparable (``benchmarks/bench_network.py``)."""
     from ..optimize import optimize  # local: avoid an import cycle
 
-    if isinstance(records, (str, Path)):
-        records = RecordBook(records)
-    if isinstance(eval_cache, (str, Path)):
-        eval_cache = EvalCache(eval_cache)
     start = time.perf_counter()
     groups = partition_network(network, fuse=fuse)
     device = getattr(device_spec, "name", str(device_spec))
@@ -1064,6 +1056,9 @@ def tune_network(
             raise TypeError(
                 f"no effect with allocate=False: {', '.join(ignored)}"
             )
+    records = RecordBook(records) if isinstance(records, (str, Path)) else records
+    eval_cache = EvalCache(eval_cache) if isinstance(eval_cache, (str, Path)) else eval_cache
+    if not allocate:
         return _tune_uniform(
             network, device_spec, trials=trials, method=method, fuse=fuse,
             seed=seed, records=records, eval_cache=eval_cache,

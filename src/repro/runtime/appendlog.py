@@ -17,9 +17,9 @@ four share one set of guarantees (``docs/robustness.md``):
   is skipped with a warning and counted.
 * :meth:`~AppendLog.newest` reads back to front and stops at the first
   valid object (a checkpoint's newest snapshot).
-* :meth:`~AppendLog.rewrite` writes the newest ``keep`` lines to a
-  ``.tmp`` sibling, fsyncs it and ``os.replace``-s it over the file, so
-  a reader sees the old file or the new one, never a torn write.
+* :meth:`~AppendLog.rewrite` writes the newest ``keep`` lines to a ``.tmp``
+  sibling (the new one a few rows at a time), fsyncs it and ``os.replace``-s
+  it over the file, so a reader sees the old file or the new one, never torn.
 
 ``replayed``, ``skipped`` and ``bytes_read`` describe the last file read.
 """
@@ -38,6 +38,26 @@ T = TypeVar("T")
 
 #: Load stats of a store that has no file.
 NO_LOAD_STATS = {"replayed": 0, "skipped": 0, "bytes_read": 0}
+PIECE_ROWS = 16  # rows of a table (a list of lists or dicts) in one piece of _pieces
+
+
+def _pieces(value) -> Iterator[str]:
+    """``json.dumps(value)`` in pieces: a dict with ``str`` keys key by key, a
+    few tables one by one, and a table ``PIECE_ROWS`` rows a piece."""
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        for i, (key, item) in enumerate(value.items()):
+            yield ("{" if i == 0 else ", ") + json.dumps(key) + ": "
+            yield from _pieces(item)
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        tables = len(value) <= PIECE_ROWS and isinstance(next(iter(value[0]), None), (list, dict))
+        step = 1 if tables else PIECE_ROWS
+        for i in range(0, len(value), step):
+            yield "[" if i == 0 else ", "
+            yield from _pieces(value[i]) if step == 1 else [json.dumps(value[i:i + step])[1:-1]]
+        yield "]"
+    else:
+        yield json.dumps(value)
 
 
 class AppendLog:
@@ -93,15 +113,20 @@ class AppendLog:
         return None
 
     def rewrite(self, payload: Dict, keep: int) -> None:
-        """Append ``payload`` and keep only the newest ``keep`` lines,
-        atomically (temp file, fsync, ``os.replace``)."""
+        """Append ``payload``, written in :func:`_pieces`, and keep only the
+        newest ``keep`` lines, atomically (temp file, fsync, ``os.replace``)."""
         lines = [line for line in self._read() if line.strip()]
-        lines.append(json.dumps(payload))
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as f:
-            f.write("\n".join(lines[-max(keep, 1):]) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        try:
+            with open(tmp, "w", buffering=1 << 16) as f:  # a syscall per 64 KB, not per piece
+                f.writelines(line + "\n" for line in lines[max(len(lines) + 1 - keep, 0):])
+                f.writelines(_pieces(payload))
+                f.write("\n")
+                f.flush()
+                os.fsync(f.fileno())
+        except BaseException:          # e.g. a value json.dumps rejects
+            tmp.unlink(missing_ok=True)
+            raise
         os.replace(tmp, self.path)
 
     def _read(self) -> List[str]:

@@ -3,13 +3,21 @@ matrix against :class:`AppendLog`, its load stats, and the same corrupt
 input fed to each of the four stores built on it."""
 
 import json
+import math
 import multiprocessing
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import optimize
+from repro.model import V100
+from repro.ops import conv2d_compute
 from repro.runtime import EvalCache, RecordBook, TuningRecord, load_checkpoint, save_checkpoint
-from repro.runtime.appendlog import AppendLog
+from repro.runtime.appendlog import PIECE_ROWS, AppendLog
 from repro.schedule import NodeConfig
 from repro.serve.jobstore import Job, JobState, JobStore
 
@@ -153,6 +161,94 @@ class TestFailureModes:
         for tag in (1, 2):
             mine = [(v["batch"], v["j"]) for v in values if v["tag"] == tag]
             assert mine == [(b, j) for b in range(40) for j in range(3)]
+
+
+# -- the streamed new line -------------------------------------------------
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8)
+_ROW = st.lists(_FLOATS, max_size=4) | st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(_ROW, min_size=PIECE_ROWS + 1, max_size=3 * PIECE_ROWS + 2)
+        | st.dictionaries(st.text(max_size=6), children, max_size=5)
+        | st.dictionaries(st.none() | st.booleans() | st.integers() | _FLOATS,
+                          children, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+class TestStreamedLine:
+    """``rewrite`` writes the new line in pieces; the bytes must be
+    exactly ``json.dumps`` of the payload."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=_VALUES, key=st.text(max_size=4))
+    def test_line_equals_json_dumps(self, tmp_path, value, key):
+        log = AppendLog(tmp_path / "run.ckpt")
+        for payload in ({key: value}, {"v": value, "tail": [value, {"x": value}]}):
+            log.rewrite(payload, keep=1)
+            assert log.path.read_bytes() == (json.dumps(payload) + "\n").encode()
+
+    def test_every_q_method_snapshot_equals_json_dumps(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.ckpt"
+        rewrite, written = AppendLog.rewrite, []
+
+        def checked_rewrite(log, payload, keep):
+            rewrite(log, payload, keep)
+            line = log.path.read_text().splitlines()[-1]
+            assert line == json.dumps(payload)
+            written.append(len(line))
+
+        monkeypatch.setattr(AppendLog, "rewrite", checked_rewrite)
+        output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="c")
+        optimize(output, V100, trials=6, seed=3, method="q",
+                 checkpoint=path, checkpoint_every=1)
+        assert len(written) >= 6
+        assert load_checkpoint(path)["version"] == 1
+
+    def test_save_peaks_below_the_line_length(self, tmp_path):
+        """Building the line with one ``json.dumps`` peaks at about three
+        times this line's length (chunk list plus joined text)."""
+        rng = np.random.default_rng(0)
+        sizes = [64, 128, 128, 128, 64]
+
+        def layers():
+            return [rng.standard_normal((a, b)).tolist() for a, b in zip(sizes, sizes[1:])]
+
+        snapshot = {"trial": 40, "agent": {"net": {
+            "weights": layers(), "biases": [[0.5] * b for b in sizes[1:]],
+            "optimizer": {"grad_sq": layers(), "delta_sq": layers()},
+        }}}
+        path = tmp_path / "run.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, snapshot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        line = path.read_bytes()
+        assert len(line) >= 2_000_000
+        assert peak < len(line)
+
+    @pytest.mark.parametrize("bad", [{"b": {1, 2}}, {(1, 2): "tuple key"}],
+                             ids=["set_value", "tuple_key"])
+    def test_rejected_payload_leaves_the_file_as_it_was(self, tmp_path, bad):
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, {"trial": 1, "rows": [[0.25] * 8] * 40})
+        before = path.read_bytes()
+        payload = {"trial": 2, "rows": [[0.5] * 8] * 40, "bad": bad}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload)
+        with pytest.raises(TypeError) as raised:
+            save_checkpoint(path, payload)
+        assert str(raised.value) == str(expected.value)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def _append_batches(path, tag, batches):

@@ -160,6 +160,14 @@ class TestCli:
         ["submit", "--resume"],
         ["submit", "--slice-trials", "3"],
         ["gemm", "--padding", "1"],
+        ["gemm", "--screen-ratio", "0.5"],
+        ["status", "--workers", "4", "--max-queue", "3"],
+        ["status", "--max-queue", "3"],
+        ["serve", "--tenant", "alice"],
+        ["lint", "--store", "svc"],
+        ["gemm", "--network", "overfeat"],
+        ["tune-network", "--priority", "0"],
+        ["lookup", "--max-crashes", "1"],
     ])
     def test_ignored_flag_exits_nonzero(self, argv, capsys):
         from repro.__main__ import main
