@@ -78,12 +78,13 @@ def test_fig6d(benchmark):
           f"Q/AutoTVM: {q_vs_at:.2f} (paper: 0.529)")
 
     # The Q-method reaches the target clearly faster than AutoTVM on
-    # average (paper: 52.9% — this reproduces almost exactly)...
+    # average (paper: 52.9%; about 67% here)...
     assert q_vs_at < 0.9, q_vs_at
-    # ...and no slower than the P-method.  The paper's 27.6% Q-vs-P gap
-    # does not fully reproduce: on our smoother analytical landscape the
-    # P-method's exhaustive sweeps of the (shared) heuristic seeds are
-    # more effective than on real hardware (see EXPERIMENTS.md).
+    # ...and within 1.3x of the P-method's time (about 1.19x here).  The
+    # paper's 27.6% Q-vs-P gap does not reproduce: on our smoother
+    # analytical landscape the P-method's exhaustive sweeps of the
+    # (shared) heuristic seeds are more effective than on real hardware
+    # (see EXPERIMENTS.md).
     assert q_vs_p < 1.3, q_vs_p
     # The target performance is actually reachable for most layers.
     assert sum(1 for r in rows if r["q_reached"]) >= 10

@@ -20,6 +20,10 @@ Examples::
     python -m repro tune-network --network yolo-v1 --store /tmp/svc --trials 25
     python -m repro tune-network --network overfeat --uniform
 
+Every command takes only the flags its handler reads (``python -m repro
+<command> -h`` lists them): a flag of another command, an unknown flag or
+an abbreviated one is a usage error.
+
 Exit codes: 0 on success; nonzero on any failure (no schedule found, a
 rejected submission, a lookup miss, a missing service store, or a serve
 pass that left jobs failed or quarantined); 2 on a usage error.
@@ -34,130 +38,158 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import optimize
 from .model import DEVICES
-from .ops import conv2d_compute, gemm_compute, gemm_int8_compute, gemv_compute
+from .nn import overfeat, tune_network, yolo_v1
+from .ops import gemm_int8_compute
 from .runtime import EvalCache
+from .serve import JobState, ServeConfig, TuningService
+from .serve.service import EVALCACHE_DIRNAME, OPERATORS, RECORDS_FILENAME
 from .utils import save_schedule
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    # No abbreviations: ``gemv --m 4`` must not parse as ``--method 4``.
+    return argparse.ArgumentParser(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The repro command-line argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="FlexTensor reproduction: tune a tensor operator for a "
-                    "simulated device.",
-    )
-    parser.add_argument("operator",
-                        choices=["conv2d", "gemm", "gemv", "lint", "serve",
-                                 "submit", "status", "lookup", "tune-network"])
-    parser.add_argument("--device", default="V100", choices=sorted(DEVICES))
-    parser.add_argument("--trials", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--method", default="q",
+    """The repro command-line parser: one subparser per command, each
+    declaring only the flags its handler reads."""
+    parser = _parser(prog="repro", description="FlexTensor reproduction: tune a "
+                     "tensor operator for a simulated device.")
+    commands = parser.add_subparsers(dest="operator", required=True, metavar="command")
+
+    def group(*parents):
+        return _parser(add_help=False, parents=list(parents))
+
+    def command(name, handler, help, *parents):
+        sub = commands.add_parser(name, help=help, parents=list(parents), allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    device, trials, seed, method = group(), group(), group(), group()
+    device.add_argument("--device", default="V100", choices=sorted(DEVICES))
+    trials.add_argument("--trials", type=int, default=40)
+    seed.add_argument("--seed", type=int, default=0)
+    method.add_argument("--method", default="q",
                         choices=["q", "p", "random-walk", "random-sample"])
-    parser.add_argument("--save", help="write the tuned schedule to a JSON file")
-    parser.add_argument("--show-code", action="store_true",
-                        help="print the generated Python kernel")
-    parser.add_argument("--checkpoint",
-                        help="JSONL checkpoint file for crash-safe tuning")
-    parser.add_argument("--resume", action="store_true",
+    resume, workers, store = group(), group(), group()
+    resume.add_argument("--resume", action="store_true",
                         help="resume from the newest checkpoint snapshot")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="simulated measurement workers: batches are "
-                             "billed by greedy list scheduling over this "
-                             "many devices (every value is seeded and "
-                             "bit-reproducible)")
-    parser.add_argument("--cache-dir",
-                        help="directory of the persistent cross-run "
-                             "evaluation cache")
-    parser.add_argument("--lint", action="store_true",
-                        help="statically reject illegal points at zero "
-                             "measurement cost")
-    parser.add_argument("--prune-space", action="store_true",
-                        help="drop knob values that alone violate a device "
-                             "limit before tuning starts")
-    parser.add_argument("--surrogate", action="store_true",
-                        help="screen candidates through an online learned "
-                             "cost model so only the most promising fraction "
-                             "is actually measured")
-    parser.add_argument("--screen-ratio", type=float, default=0.25,
-                        help="fraction of each ranked candidate batch "
-                             "forwarded to real measurement with --surrogate")
-    parser.add_argument("--store", default=".repro-serve",
-                        help="serve/submit/status/lookup: the service store "
-                             "directory (job WAL, checkpoints, records, "
-                             "eval cache)")
-    parser.add_argument("--tenant", default="anonymous",
-                        help="submit/lookup: tenant the job is billed to")
-    parser.add_argument("--op", default="gemm",
-                        choices=["conv2d", "gemm", "gemv"],
-                        help="submit/lookup: operator of the workload")
-    parser.add_argument("--priority", type=int, default=1, choices=[0, 1, 2],
-                        help="submit: priority lane (0=interactive, 1=batch, "
-                             "2=background)")
-    parser.add_argument("--ttl", type=float, default=None,
-                        help="submit: job TTL in simulated seconds")
-    parser.add_argument("--slice-trials", type=int, default=None,
-                        help="serve/tune-network: trials per scheduling "
-                             "slice (preemption grain; default: serve 2, "
-                             "tune-network the scheduler's own default)")
-    parser.add_argument("--max-slices", type=int, default=None,
-                        help="serve: stop after this many slices (default: "
-                             "run until idle)")
-    parser.add_argument("--max-queue", type=int, default=64,
-                        help="submit/lookup: global bound on active jobs")
-    parser.add_argument("--max-crashes", type=int, default=3,
-                        help="serve: crashes before a job is quarantined")
-    parser.add_argument("--enqueue", action="store_true",
-                        help="lookup: enqueue a tuning job on a miss")
-    parser.add_argument("--network", default="yolo-v1",
-                        choices=["yolo-v1", "overfeat"],
-                        help="tune-network: which §6.6 network to tune")
-    parser.add_argument("--uniform", action="store_true",
-                        help="tune-network: flat identical per-layer budgets "
-                             "instead of the gain-driven task scheduler")
-    parser.add_argument("--sample", type=int, default=None,
-                        help="lint only: random points sampled per schedule "
-                             "space (default 400)")
-    parser.add_argument("--target", default=None,
-                        choices=["gpu", "cpu", "fpga"],
-                        help="lint only: lint for this device family "
-                             "(overrides --device with the family's "
-                             "reference device)")
-    parser.add_argument("--tensorize", action="store_true",
-                        help="add the tensorize knob when a registered "
-                             "intrinsic matches the computation")
-    parser.add_argument("--lint-records", action="store_true",
-                        help="lint only: print every diagnostic, not just "
-                             "the per-rule summary")
-    # conv2d shape
-    parser.add_argument("--batch", type=int, default=1)
-    parser.add_argument("--in-channel", type=int, default=256)
-    parser.add_argument("--out-channel", type=int, default=512)
-    parser.add_argument("--size", type=int, default=28, help="height = width")
-    parser.add_argument("--kernel", type=int, default=3)
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--padding", type=int, default=None)
-    # gemm/gemv shape
-    parser.add_argument("--n", type=int, default=1024)
-    parser.add_argument("--k", type=int, default=1024)
-    parser.add_argument("--m", type=int, default=1024)
+    workers.add_argument("--workers", type=positive_int, default=1,
+                         help="simulated measurement workers: batches are billed by greedy "
+                              "list scheduling over this many devices (bit-reproducible)")
+    store.add_argument("--store", default=".repro-serve",
+                       help="the service store directory (job WAL, checkpoints, records, "
+                            "eval cache)")
+
+    tune = group(device, trials, seed, method, resume, workers)
+    tune.add_argument("--save", help="write the tuned schedule to a JSON file")
+    tune.add_argument("--show-code", action="store_true",
+                      help="print the generated Python kernel")
+    tune.add_argument("--checkpoint", help="JSONL checkpoint file for crash-safe tuning")
+    tune.add_argument("--cache-dir", help="directory of the persistent cross-run "
+                      "evaluation cache")
+    tune.add_argument("--lint", action="store_true",
+                      help="statically reject illegal points at zero measurement cost")
+    tune.add_argument("--prune-space", action="store_true",
+                      help="drop knob values that alone violate a device limit before "
+                           "tuning starts")
+    tune.add_argument("--surrogate", action="store_true",
+                      help="screen candidates through an online learned cost model so "
+                           "only the most promising fraction is actually measured")
+    tune.add_argument("--screen-ratio", type=float, default=None,
+                      help="fraction of each ranked candidate batch forwarded to real "
+                           "measurement with --surrogate (default 0.25)")
+    tune.add_argument("--tensorize", action="store_true",
+                      help="add the tensorize knob when a registered intrinsic matches "
+                           "the computation")
+
+    conv2d = group()
+    conv2d.add_argument("--batch", type=int, default=1)
+    conv2d.add_argument("--in-channel", type=int, default=256)
+    conv2d.add_argument("--out-channel", type=int, default=512)
+    conv2d.add_argument("--size", type=int, default=28, help="height = width")
+    conv2d.add_argument("--kernel", type=int, default=3)
+    conv2d.add_argument("--stride", type=int, default=1)
+    conv2d.add_argument("--padding", type=int, default=None, help="default: kernel // 2")
+    gemv = group()
+    gemv.add_argument("--n", type=int, default=1024)
+    gemv.add_argument("--k", type=int, default=1024)
+    gemm = group(gemv)
+    gemm.add_argument("--m", type=int, default=1024)
+    job = group(store, device, trials, seed)
+    job.add_argument("--tenant", default="anonymous", help="tenant the job is billed to")
+    job.add_argument("--op", default="gemm", choices=["conv2d", "gemm", "gemv"],
+                     help="operator of the workload, shaped by its shape flags")
+    job.add_argument("--max-queue", type=int, default=64, help="global bound on active jobs")
+
+    command("conv2d", tune_command, "tune one 2D convolution", tune, conv2d)
+    command("gemm", tune_command, "tune one matrix multiply", tune, gemm)
+    command("gemv", tune_command, "tune one matrix-vector multiply", tune, gemv)
+    lint = command("lint", lint_command, "count static diagnostics on sampled gemm and "
+                   "conv2d schedules", device, seed, conv2d, gemm)
+    lint.add_argument("--sample", type=int, default=400,
+                      help="random points sampled per schedule space")
+    lint.add_argument("--target", choices=["gpu", "cpu", "fpga"],
+                      help="lint for this device family (overrides --device with the "
+                           "family's reference device)")
+    lint.add_argument("--lint-records", action="store_true",
+                      help="print every diagnostic, not just the per-rule summary")
+    submit = command("submit", submit_command, "submit one tuning job",
+                     job, method, conv2d, gemm)
+    submit.add_argument("--priority", type=int, default=1, choices=[0, 1, 2],
+                        help="priority lane (0=interactive, 1=batch, 2=background)")
+    submit.add_argument("--ttl", type=float, help="job TTL in simulated seconds")
+    lookup = command("lookup", lookup_command, "answer a workload from the record book",
+                     job, conv2d, gemm)
+    lookup.add_argument("--enqueue", action="store_true",
+                        help="enqueue a tuning job on a miss")
+    serve = command("serve", serve_command, "run the queued jobs slice by slice",
+                    store, workers)
+    serve.add_argument("--slice-trials", type=positive_int, default=2,
+                       help="trials per scheduling slice (preemption grain)")
+    serve.add_argument("--max-slices", type=int,
+                       help="stop after this many slices (default: run until idle)")
+    serve.add_argument("--max-crashes", type=int, default=3,
+                       help="crashes before a job is quarantined")
+    command("status", status_command, "print the job table", store)
+    network = command("tune-network", tune_network_command, "tune a whole §6.6 network",
+                      device, trials, seed, method, resume, store)
+    network.add_argument("--network", default="yolo-v1", choices=["yolo-v1", "overfeat"])
+    network.add_argument("--batch", type=int, default=1)
+    network.add_argument("--uniform", action="store_true",
+                         help="flat identical per-layer budgets instead of the gain-driven "
+                              "task scheduler")
+    network.add_argument("--slice-trials", type=positive_int,
+                         help="trials per scheduling slice (default: the scheduler's own)")
     return parser
 
 
-def build_operator(args):
-    """Instantiate the requested operator from parsed arguments."""
-    if args.operator == "conv2d":
-        padding = args.padding if args.padding is not None else args.kernel // 2
-        return conv2d_compute(
-            args.batch, args.in_channel, args.size, args.size,
-            args.out_channel, args.kernel, stride=args.stride, padding=padding,
-        )
-    if args.operator == "gemm":
-        return gemm_compute(args.n, args.k, args.m)
-    return gemv_compute(args.n, args.k)
+def operator_params(op: str, args) -> dict:
+    """Keyword arguments of ``OPERATORS[op]`` from the shape flags."""
+    if op == "conv2d":
+        return {
+            "batch": args.batch, "in_channel": args.in_channel,
+            "height": args.size, "width": args.size,
+            "out_channel": args.out_channel, "kernel": args.kernel,
+            "stride": args.stride,
+            "padding": args.kernel // 2 if args.padding is None else args.padding,
+        }
+    if op == "gemv":
+        return {"n": args.n, "k": args.k}
+    return {"n": args.n, "k": args.k, "m": args.m}
 
 
 #: Reference device of each lowering target for ``lint --target``.
@@ -184,25 +216,18 @@ def lint_command(args) -> int:
     if args.target is not None and target_of(device) != args.target:
         device = DEVICES[_TARGET_DEVICE[args.target]]
     target = target_of(device)
-    padding = args.padding if args.padding is not None else args.kernel // 2
-    workloads = [
-        ("gemm", gemm_compute(args.n, args.k, args.m), False),
-        ("conv2d", conv2d_compute(
-            args.batch, args.in_channel, args.size, args.size,
-            args.out_channel, args.kernel, stride=args.stride, padding=padding,
-        ), False),
-    ]
+    workloads = [(op, OPERATORS[op](**operator_params(op, args)), False)
+                 for op in ("gemm", "conv2d")]
     if args.target in ("cpu", "gpu"):
         workloads.append(
-            ("gemm-int8", gemm_int8_compute(args.n, args.k, args.m), True)
+            ("gemm-int8", gemm_int8_compute(**operator_params("gemm", args)), True)
         )
-    sample_size = 400 if args.sample is None else args.sample
     rng = np.random.default_rng(args.seed)
     total_illegal = 0
     for name, output, tensorize in workloads:
         space = build_space(output, target, tensorize=tensorize)
         linter = ScheduleLinter(space.op, target, device)
-        sample = min(sample_size, space.size)
+        sample = min(args.sample, space.size)
         counts: dict = {}
         illegal = warned = 0
         for _ in range(sample):
@@ -227,44 +252,20 @@ def lint_command(args) -> int:
     return 0
 
 
-def _serve_params(args) -> dict:
-    """Workload parameters of ``--op`` from the shared shape arguments."""
-    if args.op == "conv2d":
-        padding = args.padding if args.padding is not None else args.kernel // 2
-        return {
-            "batch": args.batch, "in_channel": args.in_channel,
-            "height": args.size, "width": args.size,
-            "out_channel": args.out_channel, "kernel": args.kernel,
-            "stride": args.stride, "padding": padding,
-        }
-    if args.op == "gemm":
-        return {"n": args.n, "k": args.k, "m": args.m}
-    return {"n": args.n, "k": args.k}
-
-
-def _serve_service(args, require_store: bool = False):
-    from pathlib import Path
-
-    from .serve import ServeConfig, TuningService
-
+def _service(args, require_store: bool = True, **config):
+    """The tuning service over ``--store`` with ``ServeConfig(**config)``;
+    None (after saying so) when ``require_store`` and it does not exist."""
     if require_store and not Path(args.store).exists():
         print(f"no service store at {args.store}")
         return None
-    config = ServeConfig(
-        slice_trials=2 if args.slice_trials is None else args.slice_trials,
-        workers=max(1, args.workers),
-        max_queue=args.max_queue,
-        max_crashes=args.max_crashes,
-    )
-    return TuningService(args.store, config)
+    return TuningService(args.store, ServeConfig(**config))
 
 
 def serve_command(args) -> int:
     """Drive the scheduler loop until idle (or ``--max-slices``); exits
     nonzero when any job ended FAILED or QUARANTINED this pass."""
-    from .serve import JobState
-
-    service = _serve_service(args, require_store=True)
+    service = _service(args, slice_trials=args.slice_trials,
+                       workers=args.workers, max_crashes=args.max_crashes)
     if service is None:
         return 1
     if service.recovered_jobs:
@@ -283,11 +284,9 @@ def serve_command(args) -> int:
 
 def submit_command(args) -> int:
     """Submit one tuning job; exits nonzero when admission rejects it."""
-    from .serve import JobState
-
-    service = _serve_service(args)
+    service = _service(args, require_store=False, max_queue=args.max_queue)
     job = service.submit(
-        args.tenant, args.op, _serve_params(args), args.device,
+        args.tenant, args.op, operator_params(args.op, args), args.device,
         trials=args.trials, seed=args.seed, method=args.method,
         priority=args.priority, ttl_seconds=args.ttl,
     )
@@ -298,7 +297,7 @@ def submit_command(args) -> int:
 
 def status_command(args) -> int:
     """Print the job table and service counters from the WAL."""
-    service = _serve_service(args, require_store=True)
+    service = _service(args)
     if service is None:
         return 1
     print(service.status_table())
@@ -311,10 +310,10 @@ def status_command(args) -> int:
 def lookup_command(args) -> int:
     """Answer (op, shape, device) from the record book; exits 0 on a
     hit, nonzero on a miss (optionally enqueueing a tuning job)."""
-    service = _serve_service(args, require_store=True)
+    service = _service(args, max_queue=args.max_queue)
     if service is None:
         return 1
-    params = _serve_params(args)
+    params = operator_params(args.op, args)
     record = service.lookup(
         args.op, params, args.device, tenant=args.tenant,
         enqueue=args.enqueue, trials=args.trials, seed=args.seed,
@@ -335,11 +334,6 @@ def tune_network_command(args) -> int:
     using the serve layout, so ``python -m repro lookup`` (and the serve
     read path) answer queries about network layers tuned here.
     """
-    from pathlib import Path
-
-    from .nn import overfeat, tune_network, yolo_v1
-    from .serve.service import EVALCACHE_DIRNAME, RECORDS_FILENAME
-
     network = {"yolo-v1": yolo_v1, "overfeat": overfeat}[args.network](args.batch)
     device = DEVICES[args.device]
     store = Path(args.store)
@@ -380,52 +374,38 @@ def measurement_health_report(tuning) -> str:
     ])
 
 
-#: The commands that tune one operator.
-TUNE_COMMANDS = ("conv2d", "gemm", "gemv")
-
-#: Flags that only some commands read, by ``dest``, with those commands:
-#: any other command rejects them rather than silently ignoring them.
-COMMAND_ONLY_FLAGS = {
-    **dict.fromkeys(("save", "show_code", "checkpoint", "cache_dir", "lint", "prune_space",
-                     "surrogate", "screen_ratio", "tensorize"), TUNE_COMMANDS),
-    "workers": TUNE_COMMANDS + ("serve",),
-    "resume": TUNE_COMMANDS + ("tune-network",),
-    "store": ("serve", "submit", "status", "lookup", "tune-network"),
-    "slice_trials": ("serve", "tune-network"),
-    "padding": ("conv2d", "lint", "submit", "lookup"),
-    **dict.fromkeys(("lint_records", "sample", "target"), ("lint",)),
-    **dict.fromkeys(("tenant", "op", "max_queue"), ("submit", "lookup")),
-    **dict.fromkeys(("priority", "ttl"), ("submit",)),
-    "enqueue": ("lookup",),
-    **dict.fromkeys(("network", "uniform"), ("tune-network",)),
-    **dict.fromkeys(("max_slices", "max_crashes"), ("serve",)),
-}
+def _unread(commands: dict, command: str, unread: list) -> str:
+    """Usage error for flags ``command`` does not read, naming the
+    commands whose subparsers declare the first of them."""
+    flag = unread[0].split("=", 1)[0]
+    owners = sorted(name for name, sub in commands.items()
+                    if flag in sub._option_string_actions)
+    if not owners:
+        return f"unrecognized arguments: {' '.join(unread)}"
+    return (f"{flag} applies to {', '.join(map(repr, owners))} only, "
+            f"not {command!r}")
 
 
 def main(argv=None) -> int:
-    """CLI entry point: tune, print, optionally save the schedule."""
+    """CLI entry point: parse one command's flags and run its handler."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # A parse into a namespace that holds every dest fills in no defaults.
-    given = {dest for dest, value in vars(parser.parse_args(
-        argv, argparse.Namespace(**dict.fromkeys(vars(args))))).items() if value is not None}
-    for dest, commands in COMMAND_ONLY_FLAGS.items():
-        if dest in given and args.operator not in commands:
-            parser.error(f"--{dest.replace('_', '-')} applies to "
-                         f"{', '.join(repr(c) for c in sorted(commands))} only, "
-                         f"not '{args.operator}'")
-    if "screen_ratio" in given and not args.surrogate:
-        parser.error("--screen-ratio applies to tunes with --surrogate only")
-    for dest in ("resume", "slice_trials"):
-        if args.uniform and dest in given:
-            parser.error(f"--{dest.replace('_', '-')} has no effect with --uniform: the "
-                         "uniform baseline has no scheduler and keeps no checkpoints")
-    command = {"lint": lint_command, "serve": serve_command, "submit": submit_command,
-               "status": status_command, "lookup": lookup_command,
-               "tune-network": tune_network_command}.get(args.operator)
-    if command is not None:
-        return command(args)
-    output = build_operator(args)
+    args, unread = parser.parse_known_args(argv)
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    usage = commands[args.operator]
+    if unread:
+        usage.error(_unread(commands, args.operator, unread))
+    if getattr(args, "screen_ratio", None) is not None and not args.surrogate:
+        usage.error("--screen-ratio applies to tunes with --surrogate only")
+    if getattr(args, "uniform", False) and (args.resume or args.slice_trials is not None):
+        usage.error(f"{'--resume' if args.resume else '--slice-trials'} has no effect with "
+                    "--uniform: the uniform baseline has no scheduler and keeps no checkpoints")
+    return args.handler(args)
+
+
+def tune_command(args) -> int:
+    """Tune one operator, print the result, optionally save the schedule."""
+    output = OPERATORS[args.operator](**operator_params(args.operator, args))
     device = DEVICES[args.device]
     result = optimize(
         output, device, trials=args.trials, method=args.method, seed=args.seed,
@@ -433,7 +413,8 @@ def main(argv=None) -> int:
         workers=args.workers,
         eval_cache=EvalCache(args.cache_dir) if args.cache_dir else None,
         lint=args.lint, prune_space=args.prune_space,
-        surrogate=args.surrogate, screen_ratio=args.screen_ratio,
+        surrogate=args.surrogate,
+        screen_ratio=0.25 if args.screen_ratio is None else args.screen_ratio,
         tensorize=args.tensorize,
     )
     print(result.summary())

@@ -57,6 +57,11 @@ class ServeConfig:
     tenants: Dict[str, TenantPolicy] = field(default_factory=dict)
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
 
+    def __post_init__(self):
+        # A zero-trial slice preempts its job without progress: run() never returns.
+        if self.slice_trials < 1:
+            raise ValueError(f"slice_trials must be at least 1, got {self.slice_trials}")
+
     def policy(self, tenant: str) -> TenantPolicy:
         return self.tenants.get(tenant, self.default_policy)
 

@@ -168,6 +168,16 @@ class TestCli:
         ["gemm", "--network", "overfeat"],
         ["tune-network", "--priority", "0"],
         ["lookup", "--max-crashes", "1"],
+        ["gemm", "--in-channel", "5"],
+        ["gemv", "--m", "4"],
+        ["lint", "--trials", "7"],
+        ["lint", "--method", "p"],
+        ["status", "--trials", "5"],
+        ["status", "--device", "P100"],
+        ["serve", "--kernel", "3"],
+        ["serve", "--seed", "4"],
+        ["tune-network", "--n", "5"],
+        ["lookup", "--method", "p"],
     ])
     def test_ignored_flag_exits_nonzero(self, argv, capsys):
         from repro.__main__ import main
@@ -176,6 +186,18 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"{argv[1]} applies to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gemm", "--tri", "3"],
+        ["tune-network", "--net", "overfeat"],
+    ])
+    def test_abbreviated_flag_exits_nonzero(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_bad_device_rejected(self):
         result = subprocess.run(

@@ -306,6 +306,13 @@ def test_token_bucket_rate_limit_refills_on_simulated_clock(tmp_path):
     assert d.state is JobState.ADMITTED
 
 
+@pytest.mark.parametrize("slice_trials", [0, -1])
+def test_zero_trial_slices_are_rejected(slice_trials):
+    # A slice of no trials preempts its job without progress forever.
+    with pytest.raises(ValueError, match="slice_trials"):
+        ServeConfig(slice_trials=slice_trials)
+
+
 def test_token_bucket_unit():
     bucket = TokenBucket(rate=2.0, burst=3.0)
     assert [bucket.take(0.0) for _ in range(4)] == [True, True, True, False]
@@ -551,3 +558,20 @@ def test_cli_serve_reports_quarantined_jobs_nonzero(tmp_path, capsys):
     assert job.state is JobState.QUARANTINED
     assert main(["serve", "--store", str(store)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--slice-trials", "0"],
+    ["serve", "--workers", "-3"],
+    ["gemm", "--workers", "0"],
+    ["tune-network", "--slice-trials", "0"],
+])
+def test_cli_counts_must_be_positive(tmp_path, capsys, argv):
+    from repro.__main__ import main
+
+    store = str(tmp_path / "nowhere")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--store", store] if argv[0] != "gemm" else []))
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "nowhere").exists()
