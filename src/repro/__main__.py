@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     gemv.add_argument("--k", type=int, default=1024)
     gemm = group(gemv)
     gemm.add_argument("--m", type=int, default=1024)
-    job = group(store, device, trials, seed)
+    job = group(store, device, seed)
+    job.add_argument("--trials", type=positive_int, default=40)
     job.add_argument("--tenant", default="anonymous", help="tenant the job is billed to")
     job.add_argument("--op", default="gemm", choices=["conv2d", "gemm", "gemv"],
                      help="operator of the workload, shaped by its shape flags")
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("gemv", tune_command, "tune one matrix-vector multiply", tune, gemv)
     lint = command("lint", lint_command, "count static diagnostics on sampled gemm and "
                    "conv2d schedules", device, seed, conv2d, gemm)
-    lint.add_argument("--sample", type=int, default=400,
+    lint.add_argument("--sample", type=positive_int, default=400,
                       help="random points sampled per schedule space")
     lint.add_argument("--target", choices=["gpu", "cpu", "fpga"],
                       help="lint for this device family (overrides --device with the "

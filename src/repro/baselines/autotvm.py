@@ -30,6 +30,13 @@ from ..schedule import (
 from ..learn import GradientBoostedTrees
 from ..space import ChoiceKnob, Point, ScheduleSpace, SplitKnob, factorizations
 
+#: Candidates measured per trial (one batch), random candidates drawn to
+#: rank per batch, and the batches proposed at random before the cost
+#: model ranks them.
+BATCH_SIZE = 8
+POOL_SIZE = 256
+WARMUP_BATCHES = 2
+
 
 def _template_split_choices(extent: int, parts: int, inner_caps: Sequence[int]):
     """Template knob choices: divisible factorizations whose non-block
@@ -92,30 +99,23 @@ class AutoTVMTuner(BaseTuner):
     def __init__(
         self,
         evaluator: Evaluator,
-        batch_size: int = 8,
-        pool_size: int = 256,
         epsilon: float = 0.25,
         model_fit_seconds: float = 3.0,
-        warmup_batches: int = 2,
         seed: int = 0,
     ):
         super().__init__(evaluator, seed=seed)
-        self.batch_size = batch_size
-        self.pool_size = pool_size
         self.epsilon = epsilon
         self.model_fit_seconds = model_fit_seconds
-        self.warmup_batches = warmup_batches
         self.model = GradientBoostedTrees()
 
     def tune(self, trials: int, num_seeds: int = 0) -> TuneResult:
         """Each trial measures one batch of candidates and retrains the
         cost model (once past the random warm-up)."""
         for trial in range(trials):
-            batch = self._propose_batch(trial)
-            for point in batch:
-                if point not in self.visited:
-                    self._evaluate_batch([point])
-            if trial + 1 >= self.warmup_batches and self.evaluated:
+            # A proposed batch holds distinct points outside H.
+            for point in self._propose_batch(trial):
+                self._evaluate_batch([point])
+            if trial + 1 >= WARMUP_BATCHES and self.evaluated:
                 x = np.stack([self.space.features(p) for p in self.evaluated])
                 y = np.asarray(list(self.evaluated.values()))
                 self.model.fit(x, np.log1p(y))
@@ -126,23 +126,23 @@ class AutoTVMTuner(BaseTuner):
         return self._result()
 
     def _propose_batch(self, trial: int) -> List[Point]:
-        pool = {self.space.random_point(self.rng) for _ in range(self.pool_size)}
-        pool = [p for p in pool if p not in self.visited]
+        pool = {self.space.random_point(self.rng) for _ in range(POOL_SIZE)}
+        pool = [p for p in pool if p not in self.evaluated]
         if not pool:
             return []
-        if trial < self.warmup_batches or not self.model.is_fitted:
-            idx = self.rng.permutation(len(pool))[: self.batch_size]
+        if trial < WARMUP_BATCHES or not self.model.is_fitted:
+            idx = self.rng.permutation(len(pool))[:BATCH_SIZE]
             return [pool[i] for i in idx]
         scores = self.model.predict(np.stack([self.space.features(p) for p in pool]))
         order = np.argsort(-scores)
         batch: List[Point] = []
         for rank in order:
-            if len(batch) >= self.batch_size:
+            if len(batch) >= BATCH_SIZE:
                 break
             if self.rng.random() < self.epsilon:
                 continue  # epsilon-greedy: occasionally skip a top pick
             batch.append(pool[rank])
-        while len(batch) < self.batch_size and len(batch) < len(pool):
+        while len(batch) < BATCH_SIZE and len(batch) < len(pool):
             candidate = pool[int(self.rng.integers(len(pool)))]
             if candidate not in batch:
                 batch.append(candidate)

@@ -234,79 +234,19 @@ def read_tensors(op: ComputeOp) -> Tuple[Tensor, ...]:
 
 
 def point_features(space, point) -> np.ndarray:
-    """Surrogate feature vector of one schedule-space point.
-
-    The learned screen (``repro.explore.surrogate``) needs features that
-    correlate with modeled kernel time, not just with knob identity, so
-    this combines:
-
-    * the space's per-knob one-hot encoding (what the Q-network sees),
-    * log2 trip counts of every split factor plus each axis's inner-tile
-      extent (the loop structure the models price),
-    * annotation signals — log unroll depth, vectorize/shared flags,
-      fuse levels, a reorder one-hot,
-    * per-input-tensor memory behaviour under the chosen inner tile:
-      log tile footprint, log reuse factor, the innermost axis's flat
-      access stride, and its coalescing efficiency.
-
-    Deterministic, fixed-length per space, and cheap: footprints and
-    strides read the op's :class:`OpFacts`, derived once per op.
-
-    ``space`` is duck-typed (``op``, ``decode``, ``features``) to keep
-    ``repro.codegen`` free of an import cycle with ``repro.space``.
-    """
-    op: ComputeOp = space.op
-    config = space.decode(point)
-    values: List[float] = [float(v) for v in space.features(point)]
-
-    tile: Dict[IterVar, int] = {}
-    for axis, factors in zip(op.axes, config.spatial_factors):
-        inner = 1
-        for factor in factors[1:]:
-            inner *= factor
-        tile[axis] = inner
-        values.extend(math.log2(max(factor, 1)) for factor in factors)
-        values.append(math.log2(max(inner, 1)))
-    for axis, factors in zip(op.reduce_axes, config.reduce_factors):
-        inner = 1
-        for factor in factors[1:]:
-            inner *= factor
-        tile[axis] = inner
-        values.extend(math.log2(max(factor, 1)) for factor in factors)
-        values.append(math.log2(max(inner, 1)))
-
-    values.append(math.log2(1 + config.unroll_depth))
-    values.append(1.0 if config.vectorize else 0.0)
-    values.append(1.0 if config.use_shared else 0.0)
-    values.append(float(config.fuse_levels))
-    values.extend(1.0 if config.reorder == choice else 0.0 for choice in (0, 1, 2))
-    # Only spaces that actually expose the tensorize knob get the feature:
-    # appending a constant 0.0 to every existing space would shift GBT
-    # splits and perturb pinned trajectories for no information.
-    if any(k.name == "tensorize" for k in getattr(space, "knobs", ())):
-        from ..analysis.intrin import intrinsic_feature
-
-        values.append(intrinsic_feature(config.tensorize))
-
-    innermost = op.axes[-1] if op.axes else None
-    for tensor in read_tensors(op):
-        footprint = tile_footprint(op, tensor, tile)
-        values.append(math.log1p(footprint))
-        values.append(math.log1p(reuse_factor(op, tensor, tile)))
-        stride = access_stride(op, tensor, innermost) if innermost is not None else 0
-        values.append(-1.0 if stride is None else math.log1p(abs(stride)))
-        values.append(coalescing_efficiency(op, tensor, innermost))
-    return np.asarray(values, dtype=np.float64)
+    """Surrogate feature vector of one schedule-space point: the one row
+    of :func:`batch_point_features` ``(space, [point])``."""
+    return batch_point_features(space, [point])[0]
 
 
 def _exact_log1p(values: np.ndarray) -> np.ndarray:
     """``math.log1p`` applied elementwise through a unique-value table.
 
-    The scalar featurizer uses ``math.log1p``; ``np.log1p`` may route
-    through a different libm and disagree in the last bit, so the batch
-    path maps each *distinct* value through ``math.log1p`` and gathers —
-    bit-identical by construction, and cheap because tile footprints and
-    reuse factors repeat heavily within a batch.
+    ``np.log1p`` may route through a different libm than ``math.log1p``
+    and disagree in the last bit, so each *distinct* value goes through
+    ``math.log1p`` and is gathered back — the scalar helpers' float by
+    construction, and cheap because tile footprints and reuse factors
+    repeat heavily within a batch.
     """
     uniques, inverse = np.unique(values, return_inverse=True)
     table = np.array([math.log1p(float(v)) for v in uniques], dtype=np.float64)
@@ -314,12 +254,12 @@ def _exact_log1p(values: np.ndarray) -> np.ndarray:
 
 
 class _BatchFeaturePlan:
-    """Per-space compilation of :func:`point_features` into array ops.
+    """Per-space compilation of the surrogate features into array ops.
 
     Everything that depends only on the space (knob feature encodings,
     per-choice log2 tables, affine coefficients, per-tensor stride and
     coalescing constants) is computed once with the *scalar* helpers, so
-    each term is the exact float the scalar featurizer would emit; the
+    each term is the exact float a per-point featurizer would emit; the
     per-point work reduces to integer gathers, one integer matrix product
     per tensor dimension, and two exact-log1p gathers per tensor.
     """
@@ -461,16 +401,34 @@ class _BatchFeaturePlan:
 
 
 def batch_point_features(space, points) -> np.ndarray:
-    """Vectorized :func:`point_features`: one (n_points, n_features)
-    matrix, each row **bit-identical** to ``point_features(space, p)``.
+    """Surrogate feature vectors of schedule-space points, one
+    (n_points, n_features) matrix.
+
+    The learned screen (``repro.explore.surrogate``) needs features that
+    correlate with modeled kernel time, not just with knob identity, so
+    a row combines:
+
+    * the space's per-knob one-hot encoding (what the Q-network sees),
+    * log2 trip counts of every split factor plus each axis's inner-tile
+      extent (the loop structure the models price),
+    * annotation signals — log unroll depth, vectorize/shared flags,
+      fuse levels, a reorder one-hot, and the intrinsic feature on
+      spaces that expose the ``tensorize`` knob,
+    * per-input-tensor memory behaviour under the chosen inner tile:
+      log tile footprint, log reuse factor, the innermost axis's flat
+      access stride, and its coalescing efficiency.
 
     Per-space invariants (affine coefficients, read-tensor order, axis
     lists, per-choice log tables) are compiled once into a
-    :class:`_BatchFeaturePlan` kept on the space; the per-point cost is integer gathers and
-    one small matrix product per tensor dimension instead of a
-    ``decode()`` + Python loop round trip per candidate.  The parity is
-    pinned by ``tests/test_hotpath_parity.py`` across gemm/conv2d spaces
-    on every target.
+    :class:`_BatchFeaturePlan` kept on the space; the per-point cost is
+    integer gathers and one small matrix product per tensor dimension.
+    Each row is **bit-identical** to the per-point reference featurizer
+    of ``tests/feature_reference.py``, pinned by
+    ``tests/test_hotpath_parity.py`` across gemm/conv2d spaces on every
+    target.
+
+    ``space`` is duck-typed (``op``, ``knobs``) to keep ``repro.codegen``
+    free of an import cycle with ``repro.space``.
     """
     plan = space.__dict__.get("_feature_plan")
     if plan is None:

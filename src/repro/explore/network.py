@@ -10,24 +10,25 @@ from typing import List, Sequence
 
 import numpy as np
 
+#: Width of each of the three hidden layers.
+HIDDEN = 64
+#: AdaDelta's decay rate of its running averages, and its conditioning term.
+RHO = 0.95
+EPS = 1e-6
+
 
 class AdaDelta:
     """AdaDelta (Zeiler 2012): per-parameter adaptive steps, no global LR."""
 
-    def __init__(self, shapes: Sequence, rho: float = 0.95, eps: float = 1e-6):
-        self.rho = rho
-        self.eps = eps
+    def __init__(self, shapes: Sequence):
         self._grad_sq = [np.zeros(s) for s in shapes]
         self._delta_sq = [np.zeros(s) for s in shapes]
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
         for i, (p, g) in enumerate(zip(params, grads)):
-            self._grad_sq[i] = self.rho * self._grad_sq[i] + (1 - self.rho) * g * g
-            update = (
-                np.sqrt(self._delta_sq[i] + self.eps)
-                / np.sqrt(self._grad_sq[i] + self.eps)
-            ) * g
-            self._delta_sq[i] = self.rho * self._delta_sq[i] + (1 - self.rho) * update * update
+            self._grad_sq[i] = RHO * self._grad_sq[i] + (1 - RHO) * g * g
+            update = (np.sqrt(self._delta_sq[i] + EPS) / np.sqrt(self._grad_sq[i] + EPS)) * g
+            self._delta_sq[i] = RHO * self._delta_sq[i] + (1 - RHO) * update * update
             p -= update
 
     def get_state(self) -> dict:
@@ -52,15 +53,9 @@ class MLP:
 
     NUM_LAYERS = 4
 
-    def __init__(
-        self,
-        input_size: int,
-        output_size: int,
-        hidden: int = 64,
-        seed: int = 0,
-    ):
+    def __init__(self, input_size: int, output_size: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        sizes = [input_size, hidden, hidden, hidden, output_size]
+        sizes = [input_size, HIDDEN, HIDDEN, HIDDEN, output_size]
         self.weights: List[np.ndarray] = []
         self.biases: List[np.ndarray] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -14,12 +14,20 @@ the online network at every read, so none is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Container, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..space import Point, ScheduleSpace
 from .network import MLP
+
+#: Discount on the bootstrapped term of the DQN target.
+ALPHA = 0.8
+#: Per-trial decay of the exploration rate, and the rate's floor.
+EPSILON_DECAY = 0.96
+EPSILON_MIN = 0.05
+#: Transitions sampled per training pass.
+TRAIN_BATCH = 64
 
 
 @dataclass
@@ -38,21 +46,14 @@ class QAgent:
     def __init__(
         self,
         space: ScheduleSpace,
-        alpha: float = 0.8,
         epsilon: float = 0.5,
-        epsilon_decay: float = 0.96,
-        epsilon_min: float = 0.05,
-        hidden: int = 64,
         train_period: int = 5,
         seed: int = 0,
     ):
         self.space = space
-        self.alpha = alpha          # discount on the bootstrapped term
         self.epsilon = epsilon      # exploration rate (decays per trial)
-        self.epsilon_decay = epsilon_decay
-        self.epsilon_min = epsilon_min
         self.train_period = train_period
-        self.network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
+        self.network = MLP(space.feature_size, space.num_directions, seed=seed)
         self.transitions: List[Transition] = []
         self.losses: List[float] = []
         # Per-direction running reward statistics: a cheap global prior the
@@ -66,7 +67,7 @@ class QAgent:
     # -- acting -----------------------------------------------------------
 
     def choose_direction(
-        self, point: Point, visited: set, rng: Optional[np.random.Generator] = None
+        self, point: Point, visited: Container[Point], rng: Optional[np.random.Generator] = None
     ) -> Optional[Tuple[int, Point]]:
         """Pick the best unvisited direction from ``point`` by Q-value
         (epsilon-greedy); None if every neighbor was already visited."""
@@ -79,7 +80,7 @@ class QAgent:
     def choose_directions(
         self,
         points: Sequence[Point],
-        visited: set,
+        visited: Container[Point],
         rng: Optional[np.random.Generator] = None,
     ) -> List[Optional[Tuple[int, Point]]]:
         """Batched direction choice for many walk heads at once.
@@ -109,7 +110,7 @@ class QAgent:
     def _choose(
         self,
         point: Point,
-        visited: set,
+        visited: Container[Point],
         taken: Collection[Point],
         q_values: Callable[[], np.ndarray],
         rng: np.random.Generator,
@@ -152,17 +153,17 @@ class QAgent:
     def end_trial(self) -> None:
         """Call once per exploration trial; trains every ``train_period``
         and anneals the exploration rate."""
-        self.epsilon = max(self.epsilon * self.epsilon_decay, self.epsilon_min)
+        self.epsilon = max(self.epsilon * EPSILON_DECAY, EPSILON_MIN)
         self._trials_since_training += 1
         if self._trials_since_training >= self.train_period:
             self.train()
             self._trials_since_training = 0
 
-    def train(self, batch_size: int = 64) -> Optional[float]:
+    def train(self) -> Optional[float]:
         """One training pass over a sample of recorded transitions."""
         if not self.transitions:
             return None
-        sample_size = min(batch_size, len(self.transitions))
+        sample_size = min(TRAIN_BATCH, len(self.transitions))
         idx = self._rng.choice(len(self.transitions), size=sample_size, replace=False)
         batch = [self.transitions[i] for i in idx]
 
@@ -179,7 +180,7 @@ class QAgent:
         directions = np.array([t.direction for t in batch])
         rewards = np.array([t.reward for t in batch])
         targets = current_q.copy()
-        targets[rows, directions] = rewards + self.alpha * next_q.max(axis=1)
+        targets[rows, directions] = rewards + ALPHA * next_q.max(axis=1)
         mask = np.zeros_like(targets)
         mask[rows, directions] = 1.0
         loss = self.network.train_batch(features, targets, mask)

@@ -15,8 +15,9 @@ comparable (Figures 6d and 7).
 The shared :meth:`BaseTuner.tune` loop is fault tolerant: it degrades
 gracefully when the evaluator reports a poisoned neighborhood (high
 recent error rate) and can periodically checkpoint its full state —
-H set, visited set, RNG, Q-network — so a killed run resumes exactly
-where it stopped (``docs/robustness.md``).
+H set, RNG, Q-network — so a killed run resumes exactly where it
+stopped (``docs/robustness.md``).  H is also the visited set: a point
+is visited exactly when it has been evaluated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +34,11 @@ from ..runtime import BatchEngine, Evaluator, load_checkpoint, save_checkpoint
 from ..space import Point, heuristic_seed_points
 from .qlearning import QAgent, normalized_reward
 from .sa import select_starting_points
+
+#: Above this recent error rate the tuner assumes the neighborhood is
+#: poisoned (quarantined / failing points) and degrades: shorter walks
+#: plus a fresh SA restart to escape the region.
+DEGRADE_THRESHOLD = 0.5
 
 
 @dataclass
@@ -84,7 +90,6 @@ class BaseTuner:
         num_starting_points: int = 4,
         seed: int = 0,
         seed_points: Optional[List[Point]] = None,
-        degrade_threshold: float = 0.5,
         engine: Optional[BatchEngine] = None,
     ):
         self.evaluator = evaluator
@@ -93,12 +98,7 @@ class BaseTuner:
         self.num_starting_points = num_starting_points
         self.rng = np.random.default_rng(seed)
         self.evaluated: Dict[Point, float] = {}
-        self.visited: Set[Point] = set()
         self.seed_points: List[Point] = list(seed_points or [])
-        # Above this recent-error-rate the tuner assumes the neighborhood
-        # is poisoned (quarantined / failing points) and degrades: shorter
-        # walks plus a fresh SA restart to escape the region.
-        self.degrade_threshold = degrade_threshold
         # Batched evaluation engine (repro.runtime.parallel).  ``None``
         # builds a ``workers=1`` engine, the exact serial evaluation path;
         # ``workers>1`` switches the tuners to their batched trial shapes.
@@ -114,15 +114,13 @@ class BaseTuner:
     def _evaluate_batch(self, points: List[Point]) -> List[float]:
         """Evaluate candidates through the engine and fold them into the
         H set.  With ``workers=1`` this is byte-for-byte the pre-engine
-        serial loop: evaluation consumes no tuner RNG and H/visited
-        updates commute with it, so collect-then-batch trials stay
+        serial loop: evaluation consumes no tuner RNG and H updates
+        commute with it, so collect-then-batch trials stay
         bit-identical."""
         if not points:
             return []
         performances = self.engine.evaluate_batch(points)
-        for point, performance in zip(points, performances):
-            self.evaluated[point] = performance
-            self.visited.add(point)
+        self.evaluated.update(zip(points, performances))
         return performances
 
     def _seed(self, num_seeds: int) -> None:
@@ -136,7 +134,7 @@ class BaseTuner:
 
     def _degraded(self) -> bool:
         """Whether the measurement pipeline reports a poisoned region."""
-        return self.evaluator.recent_error_rate() >= self.degrade_threshold
+        return self.evaluator.recent_error_rate() >= DEGRADE_THRESHOLD
 
     def _result(self) -> TuneResult:
         best_point, best_perf = self.evaluator.best()
@@ -259,7 +257,6 @@ class BaseTuner:
         state = {
             "rng": self.rng.bit_generator.state,
             "evaluated": [[list(p), perf] for p, perf in self.evaluated.items()],
-            "visited": [list(p) for p in sorted(self.visited)],
             "evaluator": self.evaluator.get_state(),
         }
         if self.engine.surrogate is not None:
@@ -270,10 +267,12 @@ class BaseTuner:
         return state
 
     def set_state(self, state: Dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
+        """Restore a snapshot produced by :meth:`get_state`.
+
+        Older snapshots also carry a ``visited`` list, the keys of
+        ``evaluated``; it is ignored."""
         self.rng.bit_generator.state = state["rng"]
         self.evaluated = {tuple(p): perf for p, perf in state["evaluated"]}
-        self.visited = {tuple(p) for p in state["visited"]}
         self.evaluator.set_state(state["evaluator"])
         if self.engine.surrogate is not None and "surrogate" in state:
             self.engine.surrogate.set_state(state["surrogate"])
@@ -294,12 +293,10 @@ class FlexTensorTuner(BaseTuner):
         train_period: int = 5,
         seed: int = 0,
         seed_points: Optional[List[Point]] = None,
-        degrade_threshold: float = 0.5,
         engine: Optional[BatchEngine] = None,
     ):
         super().__init__(
-            evaluator, gamma, num_starting_points, seed, seed_points,
-            degrade_threshold=degrade_threshold, engine=engine,
+            evaluator, gamma, num_starting_points, seed, seed_points, engine=engine,
         )
         self.steps = steps
         self.agent = QAgent(
@@ -329,7 +326,7 @@ class FlexTensorTuner(BaseTuner):
             # continuing from the freshly evaluated neighbor.
             current = start
             for _step in range(steps):
-                choice = self.agent.choose_direction(current, self.visited, self.rng)
+                choice = self.agent.choose_direction(current, self.evaluated, self.rng)
                 if choice is None:
                     break
                 direction, neighbor = choice
@@ -361,7 +358,7 @@ class FlexTensorTuner(BaseTuner):
             if not active:
                 break
             choices = self.agent.choose_directions(
-                [heads[i] for i in active], self.visited, self.rng
+                [heads[i] for i in active], self.evaluated, self.rng
             )
             moves = [
                 (i, choice[0], choice[1])
@@ -403,18 +400,16 @@ class PMethodTuner(BaseTuner):
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )
         # Collect every unvisited direction of every start, then submit
-        # the whole trial as one batch.  Marking visited at collection
-        # reproduces the serial membership checks exactly (a neighbor
-        # shared by two starts is collected once, in the same position
-        # the serial loop would have evaluated it).
-        batch: List[Point] = []
+        # the whole trial as one batch.  The batch, an insertion-ordered
+        # dict, reproduces the serial membership checks exactly (a
+        # neighbor shared by two starts is collected once, in the same
+        # position the serial loop would have evaluated it).
+        batch: Dict[Point, None] = {}
         for start in starts:
             for _direction, neighbor in self.space.neighbors(start):
-                if neighbor in self.visited:
-                    continue
-                self.visited.add(neighbor)
-                batch.append(neighbor)
-        self._evaluate_batch(batch)
+                if neighbor not in self.evaluated:
+                    batch[neighbor] = None
+        self._evaluate_batch(list(batch))
 
 
 class RandomWalkTuner(BaseTuner):
@@ -431,19 +426,19 @@ class RandomWalkTuner(BaseTuner):
         # One random unvisited direction per start, drawn in start order
         # (evaluation consumes no tuner RNG, so collect-then-batch makes
         # the same draws the serial loop made), submitted as one batch.
-        batch: List[Point] = []
+        # A neighbor already in the batch counts as visited.
+        batch: Dict[Point, None] = {}
         for start in starts:
             options = [
                 (d, nb)
                 for d, nb in self.space.neighbors(start)
-                if nb not in self.visited
+                if nb not in self.evaluated and nb not in batch
             ]
             if not options:
                 continue
             _direction, neighbor = options[int(self.rng.integers(len(options)))]
-            self.visited.add(neighbor)
-            batch.append(neighbor)
-        self._evaluate_batch(batch)
+            batch[neighbor] = None
+        self._evaluate_batch(list(batch))
 
 
 class RandomSampleTuner(BaseTuner):

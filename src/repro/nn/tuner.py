@@ -26,11 +26,11 @@ style of MetaSchedule/Ansor:
    latency gain*: the observed improvement of the task's network-time
    contribution per trial over its last slice.  Cold tasks (no trials
    yet) rank first, heaviest first; an ε floor forces any task that has
-   not been served for ``starve_rounds`` rounds into the next round, so
+   not been served for ``STARVE_ROUNDS`` rounds into the next round, so
    low-gain tasks are never starved.  Tasks whose improvement curve has
-   been flat for ``patience`` consecutive slices stop early — that is
+   been flat for ``PATIENCE`` consecutive slices stop early — that is
    where the measurement savings come from — while high-gain tasks may
-   run past the uniform per-layer budget (up to ``cap_boost`` times it)
+   run past the uniform per-layer budget (up to ``CAP_BOOST`` times it)
    within the same *global* budget uniform allocation would have spent.
 
 3. **Sharing** — all tasks share one :class:`~repro.runtime.EvalCache`
@@ -51,6 +51,7 @@ slice from the previous boundary.  See ``docs/network.md``.
 
 from __future__ import annotations
 
+import inspect
 import math
 import tempfile
 import time
@@ -88,14 +89,23 @@ NETWORK_CHECKPOINT = "network.ckpt"
 _SCHEDULER_NAME = "network-scheduler"
 
 #: A slice that moves a task's network-time contribution by no more than
-#: this fraction of it is stale; ``patience`` stale slices end the task.
+#: this fraction of it is stale; ``PATIENCE`` stale slices end the task.
 STALE_REL = 1e-3
+#: Consecutive stale slices that end a task, once it has run
+#: ``MIN_TRIAL_SLICES`` slices' worth of trials.
+PATIENCE = 2
+MIN_TRIAL_SLICES = 2
+#: The ε floor: a runnable task unserved for this many rounds goes first.
+STARVE_ROUNDS = 4
+#: A round has one slot per this many tasks (at least one).
+TASKS_PER_SLOT = 3
+#: A task may run up to this many times the uniform per-layer budget.
+CAP_BOOST = 2.0
 
 #: :class:`NetworkTaskScheduler` tuning knobs — meaningless on the flat
 #: ``allocate=False`` path, which rejects them.
 SCHEDULER_KNOBS = frozenset({
-    "slice_trials", "round_slots", "starve_rounds", "patience", "min_trials",
-    "cap_boost", "budget_frac", "topup_frac", "max_restarts", "restart_trials",
+    "slice_trials", "budget_frac", "topup_frac", "max_restarts", "restart_trials",
 })
 
 
@@ -349,11 +359,6 @@ class NetworkTaskScheduler:
         fuse: bool = True,
         seed: int = 0,
         slice_trials: int = 3,
-        round_slots: Optional[int] = None,
-        starve_rounds: int = 4,
-        patience: int = 2,
-        min_trials: Optional[int] = None,
-        cap_boost: float = 2.0,
         budget_frac: float = 1.0,
         topup_frac: float = 0.25,
         max_restarts: int = 1,
@@ -366,6 +371,8 @@ class NetworkTaskScheduler:
         measure_config: Optional[MeasureConfig] = None,
         **tuner_kwargs,
     ):
+        from ..optimize import optimize  # local: avoid an import cycle
+
         self.network = network
         self.device_spec = device_spec
         self.trials = int(trials)
@@ -373,11 +380,7 @@ class NetworkTaskScheduler:
         self.fuse = fuse
         self.seed = seed
         self.slice_trials = max(1, int(slice_trials))
-        self.starve_rounds = max(1, int(starve_rounds))
-        self.patience = max(1, int(patience))
-        self.min_trials = (
-            2 * self.slice_trials if min_trials is None else max(1, int(min_trials))
-        )
+        self.min_trials = MIN_TRIAL_SLICES * self.slice_trials
         self.max_restarts = max(0, int(max_restarts))
         # A restart pays a fixed re-seeding overhead before its fresh
         # trajectory can overtake the merged best; a runway shorter than
@@ -389,6 +392,8 @@ class NetworkTaskScheduler:
             if restart_trials is None else max(1, int(restart_trials))
         )
         self.measure_config = measure_config
+        # A misspelt (or removed) option fails here, before any slice runs.
+        inspect.signature(optimize).bind_partial(**tuner_kwargs)
         self.tuner_kwargs = tuner_kwargs
         self.records = records
         self.eval_cache = eval_cache
@@ -407,7 +412,7 @@ class NetworkTaskScheduler:
         self.task_of_layer: List[int] = []
         self.dedup_layers_covered = 0
         by_signature: Dict[str, int] = {}
-        max_trials = max(1, math.ceil(cap_boost * self.trials))
+        max_trials = max(1, math.ceil(CAP_BOOST * self.trials))
         for layer_index, layer in enumerate(network.layers):
             signature = op_signature_of(
                 layer.workload.build(), device_spec,
@@ -434,10 +439,7 @@ class NetworkTaskScheduler:
                 self.dedup_layers_covered += 1
             self.task_of_layer.append(task_index)
 
-        self.round_slots = (
-            max(1, math.ceil(len(self.tasks) / 3))
-            if round_slots is None else max(1, int(round_slots))
-        )
+        self.round_slots = max(1, math.ceil(len(self.tasks) / TASKS_PER_SLOT))
         # Global budget: a fraction of what uniform allocation would
         # spend on the un-deduped layer list (``budget_frac=1.0`` means
         # exactly uniform's spend) — the scheduler may redistribute it,
@@ -542,7 +544,7 @@ class NetworkTaskScheduler:
         """Choose which runnable tasks get a slice this round.
 
         A pure function of the task states (no RNG): starved tasks first
-        (the ε floor — any runnable task unserved for ``starve_rounds``
+        (the ε floor — any runnable task unserved for ``STARVE_ROUNDS``
         rounds), then cold tasks heaviest-first, then warm tasks by
         marginal gain with a deterministic (weight, index) tie-break.
         """
@@ -550,7 +552,7 @@ class NetworkTaskScheduler:
         starved = [
             t for t in runnable
             if t.trials_done > 0
-            and round_index - t.last_served_round >= self.starve_rounds
+            and round_index - t.last_served_round >= STARVE_ROUNDS
         ]
         starved.sort(key=lambda t: (t.last_served_round, t.index))
         cold = [t for t in runnable if t.trials_done == 0]
@@ -652,7 +654,7 @@ class NetworkTaskScheduler:
         task.curve.append((task.trials_done, task.kernel_seconds))
         # Convergence: a slice that moved this task's network-time
         # contribution by less than ``STALE_REL`` of its value is stale;
-        # ``patience`` consecutive stale slices end the task.
+        # ``PATIENCE`` consecutive stale slices end the task.
         improvement = previous_latency - task.latency()
         if not math.isfinite(task.latency()):
             task.stale_slices += 1    # still no valid schedule: not improving
@@ -667,7 +669,7 @@ class NetworkTaskScheduler:
         if task.trials_done >= task.max_trials:
             task.done = True
             task.done_reason = "capped"
-        elif task.trials_done >= self.min_trials and task.stale_slices >= self.patience:
+        elif task.trials_done >= self.min_trials and task.stale_slices >= PATIENCE:
             task.done = True
             task.done_reason = "converged"
         if task.best_gflops > previous_best:
@@ -769,7 +771,7 @@ class NetworkTaskScheduler:
         across the heavy-with-headroom tasks instead of re-creating
         uniform's even spread.  Deterministic ((latency, index)
         tie-break).  The main loop's ε floor extends here: every
-        ``starve_rounds``-th plan serves the least-progressed task
+        ``STARVE_ROUNDS``-th plan serves the least-progressed task
         (lowest trials/horizon) regardless of priority, so a light task
         is never starved out of its uniform horizon by heavier tasks'
         decayed probes.
@@ -797,9 +799,9 @@ class NetworkTaskScheduler:
             def priority(task):
                 headroom = max(0.1, 1.0 - task.best_gflops / fleet_best)
                 return task.latency() * headroom * 0.5 ** task.stale_slices
-            if self.round_index % self.starve_rounds == 0:
+            if self.round_index % STARVE_ROUNDS == 0:
                 # The ε floor, extended into the top-up phase: every
-                # ``starve_rounds``-th plan serves the least-progressed
+                # ``STARVE_ROUNDS``-th plan serves the least-progressed
                 # eligible task (lowest trials/horizon) regardless of
                 # priority, so decayed heavy tasks cannot starve a light
                 # task out of its uniform horizon.
@@ -1014,7 +1016,7 @@ def tune_network(
             ``trials x len(network.layers)`` — exactly what uniform
             allocation spends — and the scheduler redistributes it:
             converged tasks stop early, high-gain tasks may run up to
-            ``cap_boost x trials`` (default 2x).
+            ``CAP_BOOST x trials`` (2x).
         method: any :func:`repro.optimize.optimize` method.
         fuse: fuse elementwise epilogues into their producing kernels.
         seed: RNG seed — the whole run, allocation decisions included,
@@ -1037,8 +1039,8 @@ def tune_network(
         measure_config: measurement pipeline policy, folded into task
             signatures.
         **scheduler_kwargs: :class:`NetworkTaskScheduler` knobs
-            (``slice_trials``, ``round_slots``, ``starve_rounds``,
-            ``patience``, ``cap_boost``, ...) plus any
+            (``slice_trials``, ``budget_frac``, ``topup_frac``,
+            ``max_restarts``, ``restart_trials``) plus any
             :func:`~repro.optimize.optimize` tuner options.  The knobs,
             and ``checkpoint_dir``, ``resume`` and ``chaos``, are rejected
             with ``TypeError`` when ``allocate=False``: the uniform

@@ -24,6 +24,7 @@ resumed run measures (and bills) them again as an uninterrupted run did.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -155,5 +156,7 @@ class EvalCache:
 def _parse_entry(payload: Dict) -> Tuple[Tuple[str, Tuple[int, ...]], Tuple[float, str]]:
     if payload.get("v", EVALCACHE_VERSION) != EVALCACHE_VERSION:
         raise ValueError("version mismatch")
-    key = (payload["sig"], tuple(int(x) for x in payload["point"]))
-    return key, (float(payload["perf"]), str(payload["status"]))
+    # Interned: every entry of one workload repeats one signature, and
+    # there are only a few statuses.
+    key = (sys.intern(payload["sig"]), tuple(int(x) for x in payload["point"]))
+    return key, (float(payload["perf"]), sys.intern(str(payload["status"])))

@@ -246,7 +246,6 @@ class Evaluator:
         # maps each canonical key to the first measured representative.
         self.eval_cache = eval_cache
         self._canon_index: Dict[Point, Point] = {}
-        self._canon_memo: Dict[Point, Point] = {}
         self.num_memo_hits = 0
         self.num_canon_hits = 0
         self.num_disk_hits = 0
@@ -377,11 +376,7 @@ class Evaluator:
 
     def canonical_key(self, point: Point) -> Point:
         """Canonical representative of a point."""
-        canon = self._canon_memo.get(point)
-        if canon is None:
-            canon = self.space.canonical_point(point)
-            self._canon_memo[point] = canon
-        return canon
+        return self.space.canonical_point(point)
 
     def op_signature(self) -> str:
         """This evaluator's :func:`op_signature_of`, the first half of the

@@ -203,7 +203,7 @@ class TestAutoTVMTuner:
         out = SUITES["C2D"][12].build()
         space = build_template_space(out, "gpu")
         ev = Evaluator(out, V100, space=space)
-        tuner = AutoTVMTuner(ev, batch_size=4, model_fit_seconds=3.0, seed=0)
+        tuner = AutoTVMTuner(ev, model_fit_seconds=3.0, seed=0)
         tuner.tune(4)
         measurement_only = sum(
             ev.model.measurement_seconds(min(r.seconds, 1.0)) for r in ev.records

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.explore.network as network_module
 import repro.explore.tuner as tuner_module
 from repro import optimize
 from repro.__main__ import main as cli_main
 from repro.explore import FlexTensorTuner, RandomSampleTuner
-from repro.explore.qlearning import QAgent
+from repro.explore.qlearning import ALPHA, TRAIN_BATCH, QAgent
 from repro.model import V100
 from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import (
@@ -232,8 +233,9 @@ class TestCheckpointCadence:
 #: Q-method snapshots in the two older formats, each the newest line of
 #: ``FlexTensorTuner(Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
 #: num_starting_points=2, steps=2, train_period=2)`` with its agent
-#: replaced by ``QAgent(space, epsilon=0.5, train_period=2, seed=7,
-#: hidden=4)``, after ``tune(3, num_seeds=2, checkpoint=...)``.  The first
+#: replaced by ``QAgent(space, epsilon=0.5, train_period=2, seed=7)``
+#: with 4-wide hidden layers (``HIDDEN = 4``), after ``tune(3,
+#: num_seeds=2, checkpoint=...)``.  The first
 #: stores the DQN target network with its (never used, all-zero) AdaDelta
 #: accumulators; the second stores the target's weights and biases only.
 #: Snapshots written now store no target network at all.
@@ -242,14 +244,17 @@ TARGET_WEIGHTS_SNAPSHOT = Path(__file__).parent / "data" / "qmethod-target-weigh
 
 
 class TestOldFormatSnapshot:
+    @pytest.fixture(autouse=True)
+    def four_wide_network(self, monkeypatch):
+        # The fixtures were written by a network with 4-wide hidden layers.
+        monkeypatch.setattr(network_module, "HIDDEN", 4)
+
     def small_tuner(self):
         tuner = FlexTensorTuner(
             Evaluator(gemm_compute(8, 8, 8), V100), seed=7,
             num_starting_points=2, steps=2, train_period=2,
         )
-        tuner.agent = QAgent(
-            tuner.space, epsilon=0.5, train_period=2, seed=7, hidden=4
-        )
+        tuner.agent = QAgent(tuner.space, epsilon=0.5, train_period=2, seed=7)
         return tuner
 
     def resume_matches_uninterrupted(self, fixture, tmp_path):
@@ -299,11 +304,11 @@ class TestBootstrapTarget:
         real_step = agent.network.train_batch
         checked = []
 
-        def train(batch_size=64):
+        def train():
             # Replay the minibatch draw on a copy of the agent's RNG.
             rng = copy.deepcopy(agent._rng)
             count = len(agent.transitions)
-            idx = rng.choice(count, size=min(batch_size, count), replace=False)
+            idx = rng.choice(count, size=min(TRAIN_BATCH, count), replace=False)
             batch = [agent.transitions[i] for i in idx]
             pre_step = copy.deepcopy(agent.network)
             captured = []
@@ -313,7 +318,7 @@ class TestBootstrapTarget:
                 return real_step(features, targets, mask)
 
             agent.network.train_batch = train_batch
-            loss = real_train(batch_size)
+            loss = real_train()
             del agent.network.train_batch
 
             space = agent.space
@@ -326,7 +331,7 @@ class TestBootstrapTarget:
             rows = np.arange(len(batch))
             directions = np.array([t.direction for t in batch])
             rewards = np.array([t.reward for t in batch])
-            expected[rows, directions] = rewards + agent.alpha * next_q.max(axis=1)
+            expected[rows, directions] = rewards + ALPHA * next_q.max(axis=1)
             assert len(captured) == 1
             assert captured[0].tobytes() == expected.tobytes()
             checked.append(loss)

@@ -161,10 +161,36 @@ class TestQAgent:
     def test_epsilon_anneals(self):
         out = gemm_compute(8, 8, 8)
         space = build_space(out, "gpu")
-        agent = QAgent(space, epsilon=0.5, epsilon_decay=0.5, epsilon_min=0.05, seed=0)
-        for _ in range(10):
+        agent = QAgent(space, epsilon=0.5, seed=0)
+        # 0.5 x 0.96^57 < 0.05: the rate reaches its floor and stays there.
+        for _ in range(60):
             agent.end_trial()
         assert agent.epsilon == pytest.approx(0.05)
+
+    def test_fixed_settings_are_not_options(self):
+        # §5.1's settings are module constants; the old keywords are errors.
+        from repro.baselines.autotvm import AutoTVMTuner
+        from repro.explore.network import MLP, AdaDelta
+
+        ev = small_evaluator()
+        calls = [
+            lambda: QAgent(ev.space, alpha=0.5),
+            lambda: QAgent(ev.space, epsilon_decay=0.5),
+            lambda: QAgent(ev.space, epsilon_min=0.1),
+            lambda: QAgent(ev.space, hidden=8),
+            lambda: QAgent(ev.space).train(batch_size=8),
+            lambda: MLP(4, 3, hidden=8),
+            lambda: AdaDelta([(2,)], rho=0.9),
+            lambda: AdaDelta([(2,)], eps=1e-3),
+            lambda: FlexTensorTuner(ev, degrade_threshold=0.9),
+            lambda: RandomWalkTuner(ev, degrade_threshold=0.9),
+            lambda: AutoTVMTuner(ev, batch_size=4),
+            lambda: AutoTVMTuner(ev, pool_size=64),
+            lambda: AutoTVMTuner(ev, warmup_batches=1),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestTuners:

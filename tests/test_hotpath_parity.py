@@ -5,7 +5,8 @@ Every fast path introduced by the per-point hot-path work must be
 
 * the array-compiled GBT (``repro.learn.gbt``) against the retained
   scalar implementation in ``tests/gbt_reference.py``;
-* ``batch_point_features`` against per-point ``point_features``;
+* ``batch_point_features`` against the retained per-point featurizer
+  in ``tests/feature_reference.py``;
 * memoized schedule facts against fresh lowering (the facts its loops
   give, and the numerics of interpretation and codegen);
 * the four tuners' trajectories with the fast paths on versus off.
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import batch_point_features, point_features
+from repro.codegen import batch_point_features
 from repro.codegen.interp import execute_reference, execute_scheduled, random_inputs
 from repro.codegen.pycodegen import run_generated
 from repro.explore import (
@@ -45,6 +46,7 @@ from repro.runtime import Evaluator
 from repro.schedule import LoweringMemo, lower, schedule_facts, structural_key
 from repro.space import build_space
 
+from .feature_reference import point_features
 from .gbt_reference import ReferenceGradientBoostedTrees
 from .test_schedule_facts import lowered_facts
 

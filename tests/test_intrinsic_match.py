@@ -16,7 +16,7 @@ from repro.analysis import (
     tensorize_rejections,
 )
 from repro.codegen import execute_scheduled, random_inputs, run_generated
-from repro.codegen.features import batch_point_features, point_features
+from repro.codegen.features import batch_point_features
 from repro.ir import compute, placeholder, reduce_axis, sum_reduce
 from repro.model import (
     INVALID_TIME,
@@ -29,6 +29,8 @@ from repro.model import (
 from repro.ops import gemm_compute, gemm_int8_compute
 from repro.schedule import TENSORIZE, LoweringError, NodeConfig, lower
 from repro.space import build_space
+
+from .feature_reference import point_features
 
 pytestmark = pytest.mark.tensorize
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro.explore.tuner as explore_tuner
+import repro.nn.tuner as nn_tuner
 from repro.__main__ import main
 from repro.graph import get_graph
 from repro.model import XEON_E5_2699V4, target_of
@@ -30,6 +31,9 @@ from .kills import MeasureKilled, patch_measure_kill
 
 DEVICE = XEON_E5_2699V4
 
+#: Former scheduler options, now constants of ``repro.nn.tuner``.
+REMOVED_KNOBS = ("cap_boost", "min_trials", "patience", "round_slots", "starve_rounds")
+
 
 def conv(name, c_in, c_out, hw, kernel=3):
     return Workload("C2D", name, dict(
@@ -48,19 +52,26 @@ def tiny_network():
     ])
 
 
-def run(base, network=None, chaos=None, resume=False, **kwargs):
+def run(base, network=None, chaos=None, resume=False, constants=None, **kwargs):
+    """One ``tune_network`` call over a store under ``base``, with the
+    scheduler's module ``constants`` (names of ``repro.nn.tuner``) set
+    for the call.  By default a round has one slot per two tasks: the
+    tiny network's three tasks get two, so a kill can land inside a plan."""
     options = dict(trials=8, seed=3)
     if kwargs.get("allocate", True):
         # Scheduler knobs and checkpointing: the uniform baseline rejects both.
-        options.update(slice_trials=3, round_slots=2, checkpoint_dir=base / "ckpt",
+        options.update(slice_trials=3, checkpoint_dir=base / "ckpt",
                        resume=resume, chaos=chaos)
     options.update(kwargs)
-    return tune_network(
-        network if network is not None else tiny_network(), DEVICE,
-        records=base / "records.jsonl",
-        eval_cache=base / "cache",
-        **options,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in {"TASKS_PER_SLOT": 2, **(constants or {})}.items():
+            patch.setattr(nn_tuner, name, value)
+        return tune_network(
+            network if network is not None else tiny_network(), DEVICE,
+            records=base / "records.jsonl",
+            eval_cache=base / "cache",
+            **options,
+        )
 
 
 class TestSignatureDedup:
@@ -87,7 +98,7 @@ class TestSignatureDedup:
             LayerSpec(conv("a", 8, 16, 16), 1),
             LayerSpec(conv("a_again", 8, 16, 16), 1),
         ])
-        kwargs = dict(trials=6, cap_boost=1.0, patience=10_000)
+        kwargs = dict(trials=6, constants=dict(CAP_BOOST=1.0, PATIENCE=10_000))
         lone = run(tmp_path / "single", network=single, **kwargs)
         deduped = run(tmp_path / "double", network=double, **kwargs)
         assert len(deduped.tasks) == 1
@@ -205,8 +216,8 @@ class TestSliceCommitCadence:
 
         monkeypatch.setattr(NetworkTaskScheduler, "_run_slice", run_slice)
         run(
-            tmp_path, trials=6, slice_trials=3, patience=1, min_trials=3,
-            cap_boost=3.0, restart_trials=4,
+            tmp_path, trials=6, slice_trials=3, restart_trials=4,
+            constants=dict(PATIENCE=1, MIN_TRIAL_SLICES=1, CAP_BOOST=3.0),
         )
         # The run covers the two slice sizes other than ``slice_trials``:
         # a restart's full runway and a slice capped by the budget left.
@@ -232,19 +243,20 @@ class TestEpsilonFloor:
             tasks.append(task)
         return tasks
 
-    def test_zero_gain_task_is_forced_after_starve_rounds(self, tmp_path):
+    def test_zero_gain_task_is_forced_after_starve_rounds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nn_tuner, "STARVE_ROUNDS", 2)
         scheduler = NetworkTaskScheduler(
             Network("one", [LayerSpec(conv("a", 4, 8, 8, kernel=1), 1)]),
-            DEVICE, round_slots=1, starve_rounds=2,
-            checkpoint_dir=tmp_path,
+            DEVICE, checkpoint_dir=tmp_path,
         )
+        assert scheduler.round_slots == 1
         tasks = self.synthetic_tasks()
         for task in tasks:
             task.last_served_round = 0
         # Round 1: gain ranking alone would pick an improving task...
         plan = scheduler.plan_round(1, tasks)
         assert plan == [(1, "gain")]
-        # ...but once the flat task has waited starve_rounds rounds, the
+        # ...but once the flat task has waited STARVE_ROUNDS rounds, the
         # floor forces it to the front despite its zero gain.
         plan = scheduler.plan_round(2, tasks)
         assert plan[0] == (0, "floor")
@@ -252,8 +264,11 @@ class TestEpsilonFloor:
     def test_no_runnable_task_starves_in_a_real_run(self, tmp_path):
         starve_rounds = 2
         result = run(
-            tmp_path, trials=10, round_slots=1, starve_rounds=starve_rounds,
-            patience=10_000,             # keep every task runnable throughout
+            tmp_path, trials=10, constants=dict(
+                TASKS_PER_SLOT=3,        # one slot a round
+                STARVE_ROUNDS=starve_rounds,
+                PATIENCE=10_000,         # keep every task runnable throughout
+            ),
         )
         served = {}
         for event in result.trace:
@@ -344,12 +359,24 @@ class TestBudget:
         assert len(result.tasks) == 4          # no dedup on the flat path
         assert result.trials_spent == result.trials_budget
 
-    @pytest.mark.parametrize("knob", sorted(SCHEDULER_KNOBS))
+    @pytest.mark.parametrize("knob", sorted(SCHEDULER_KNOBS | set(REMOVED_KNOBS)))
     def test_uniform_mode_rejects_scheduler_knobs(self, tmp_path, knob):
         with pytest.raises(TypeError, match=knob):
             run(tmp_path, allocate=False, **{knob: 2})
         with pytest.raises(TypeError, match=knob):
             optimize_network(tiny_network(), DEVICE, trials=2, **{knob: 2})
+
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_knobs_fail_before_any_slice(self, tmp_path, knob, monkeypatch):
+        def no_slice(*args):
+            pytest.fail("a slice ran")
+
+        monkeypatch.setattr(NetworkTaskScheduler, "_run_slice", no_slice)
+        with pytest.raises(TypeError, match=knob):
+            run(tmp_path, **{knob: 2})
+        with pytest.raises(TypeError, match=knob):
+            NetworkTaskScheduler(tiny_network(), DEVICE, **{knob: 2})
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("name,value", [
         ("checkpoint_dir", "ckpt"),

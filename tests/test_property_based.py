@@ -136,8 +136,8 @@ class TestMLPTraining:
     def test_forward_deterministic_given_seed(self, seed):
         from repro.explore import MLP
 
-        a = MLP(4, 3, hidden=8, seed=seed)
-        b = MLP(4, 3, hidden=8, seed=seed)
+        a = MLP(4, 3, seed=seed)
+        b = MLP(4, 3, seed=seed)
         x = np.linspace(0, 1, 4)
         np.testing.assert_allclose(a.forward(x), b.forward(x))
 
@@ -145,7 +145,7 @@ class TestMLPTraining:
         from repro.explore import MLP
 
         rng = np.random.default_rng(0)
-        net = MLP(6, 4, hidden=16, seed=0)
+        net = MLP(6, 4, seed=0)
         x = rng.standard_normal((32, 6))
         targets = rng.standard_normal((32, 4))
         mask = np.ones_like(targets)
